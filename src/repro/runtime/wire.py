@@ -2,19 +2,11 @@
 
 The simulator passes Python objects between nodes by reference; the live
 runtime must put them on real UDP sockets.  This module defines the
-versioned, length-prefixed datagram format and an explicit per-type codec
-for every payload that crosses a Proof-of-Receipt link:
-
-* link envelopes — :class:`~repro.link.por.PorData`,
-  :class:`~repro.link.por.PorAck`, :class:`~repro.link.por.PorHandshake`,
-  and the out-of-stream hello wrapper;
-* overlay payloads carried inside ``PorData`` —
-  :class:`~repro.messaging.message.Message`, ``E2eAck``, ``NeighborAck``,
-  ``StateRequest``, ``Hello``, and
-  :class:`~repro.routing.link_state.LinkStateUpdate`;
-* signature material from :mod:`repro.crypto` — ``None`` (PKI mode NONE),
-  :class:`~repro.crypto.simulated.SimulatedSignature`, raw RSA/HMAC bytes,
-  and integer MAC tags.
+versioned, length-prefixed datagram format for everything that crosses a
+Proof-of-Receipt link: the link envelopes (``PorData``, ``PorAck``,
+``PorHandshake``, the out-of-stream hello and the cluster's ``Addr*``
+discovery frames), the overlay payloads carried inside ``PorData``, and
+the signature material of :mod:`repro.crypto`.
 
 Datagram layout (all integers big-endian)::
 
@@ -32,41 +24,38 @@ header, and one CRC::
     frame = frame_len(4B) | envelope_tag(1B) | envelope fields
 
 A single-frame send always uses the classic (flags=0) layout, so batching
-is invisible on the wire unless two or more packets actually coalesce —
-sim/live conformance stays byte-identical for unbatched traffic.
+is invisible on the wire unless two or more packets actually coalesce.
+The CRC-32 covers the header (minus the crc field) plus the body, so any
+in-flight bit flip is rejected at decode time instead of reaching
+protocol state with a corrupted sequence number or epoch.
 
-The CRC-32 covers the header (with the crc field itself excluded) plus
-the body, so any in-flight bit flip — UDP's 16-bit checksum is weak and
-optional — is rejected at decode time instead of reaching protocol state
-with a corrupted sequence number or epoch.  The same trailer guards every
-frame of a batch: a flip anywhere in the container rejects the datagram.
+**The schema table.**  Every envelope and payload layout is one row of
+:data:`_ENVELOPE` or :data:`_PAYLOAD`: a tag, a class, and an ordered
+field list built from a handful of field kinds — fixed-width ints and
+floats, u16-prefixed bytes and text, tagged unions (node ids,
+signatures, application payloads, optional floats) and u16-counted
+sequences.  That table is the only place the format lives: both the
+encoder and the decoder are compiled from it at import, and a run of
+adjacent fixed-width fields becomes one ``Struct.pack`` /
+``unpack_from``.  Adding a type takes one table row here and one
+strategy line in ``tests/test_runtime_wire.py`` (the golden vectors in
+``tests/test_wire_golden.py`` pin the bytes of every existing row).
 
-Zero-copy discipline:
+**Zero-copy decode.**  Decoding wraps the input in a ``memoryview`` and
+unpacks fields in place; batch frames are sliced as sub-views.  Only
+leaf values that outlive the datagram (bytes, text) are copied.  Every
+count prefix is checked against the remaining bytes *before* any loop or
+allocation — the budget is the count times the item's minimum encoded
+size, derived from the table — so a hostile count fails in O(1).
 
-* **Decode** wraps the input in a :class:`memoryview` and unpacks fixed
-  fields in place (``struct.unpack_from``); the CRC is chained over
-  header and body views without re-concatenating them, and batch frames
-  are sliced as sub-views.  Only variable-length fields that outlive the
-  datagram (nonces, proofs, application payloads, text) are materialized,
-  and every length prefix is bounds-checked against the remaining budget
-  *before* any allocation, so a hostile length claim fails fast.
-* **Encode** writes into a pooled ``bytearray`` via ``pack_into``
-  (header reserved up front, CRC back-patched) and copies out the final
-  immutable ``bytes`` once.  Pool ownership rule: a buffer is owned by
-  exactly one encode call and is returned to the pool before the call
-  returns; the caller only ever sees the immutable copy.
-
-Malformed input *never* escapes as ``struct.error`` / ``IndexError`` /
+Malformed input never escapes as ``struct.error`` / ``IndexError`` /
 ``UnicodeDecodeError``: :func:`decode_datagram` raises
 :class:`repro.errors.WireDecodeError` for anything truncated, corrupted,
-over-length, or of an unknown version/flag/tag, so a live node can drop
-bad datagrams and keep serving.  Encoding an object the format cannot
-carry raises :class:`repro.errors.WireEncodeError`.
-
-The format is deterministic: encoding the same object twice yields the
-same bytes, and ``decode(encode(x)) == x`` field-for-field (the property
-test in ``tests/test_runtime_wire.py`` drives this with Hypothesis; the
-batch container is fuzzed in ``tests/test_wire_batch.py``).
+over-length, or of an unknown version/flag/tag.  Encoding an object the
+format cannot carry (an unknown type, an out-of-range integer, a
+non-number float, text that is not valid Unicode) raises
+:class:`repro.errors.WireEncodeError` and nothing else.  The format is
+deterministic: encoding the same object twice yields the same bytes.
 """
 
 from __future__ import annotations
@@ -74,7 +63,8 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.crypto.simulated import SimulatedSignature
 from repro.errors import TopologyError, WireDecodeError, WireEncodeError
@@ -109,48 +99,9 @@ HEADER_SIZE = 12
 #: sides (a UDP datagram cannot exceed 64 KiB anyway).
 MAX_BODY = 60_000
 
-# Envelope tags (the outermost object in a datagram).
-_ENV_POR_DATA = 1
-_ENV_POR_ACK = 2
-_ENV_POR_HANDSHAKE = 3
-_ENV_HELLO = 4
-# Cluster control frames: bootstrap address discovery (seed-node
-# directory queries and restart re-announcements).  They ride outside
-# the PoR link — a joining node has no link yet — and are therefore
-# unauthenticated; anything acting on one only updates an address hint,
-# never protocol state, so forgery degrades to (at worst) a DoS that the
-# link-level MACs already absorb.
-_ENV_ADDR_QUERY = 5
-_ENV_ADDR_REPLY = 6
-_ENV_ADDR_ANNOUNCE = 7
-
-# Payload tags (objects carried inside a PorData envelope).
-_PL_MESSAGE = 1
-_PL_E2E_ACK = 2
-_PL_NEIGHBOR_ACK = 3
-_PL_LINK_STATE = 4
-_PL_STATE_REQUEST = 5
-_PL_HELLO = 6
-_PL_MTMW = 7
-_PL_ADMISSION_NACK = 8
-
-# Signature kinds.
-_SIG_NONE = 0
-_SIG_SIMULATED = 1
-_SIG_BYTES = 2
-_SIG_INT = 3
-
-# Node-id kinds (ids round-trip typed: the sim uses ints for the global
-# cloud and strings elsewhere, and both are dict keys in protocol state).
-_ID_INT = 0
-_ID_STR = 1
-
-# Pre-compiled packers shared by every encode/decode call.
 _S_U16 = struct.Struct(">H")
 _S_U32 = struct.Struct(">I")
-_S_I64 = struct.Struct(">q")
-_S_F64 = struct.Struct(">d")
-_S_VLF = struct.Struct(">BBI")  # version, flags, body_len
+_S_HEAD = struct.Struct(">2sBBI")  # magic, version, flags, body_len
 _S_HDR = struct.Struct(">BBII")  # version, flags, body_len, crc
 
 _crc32 = zlib.crc32
@@ -173,304 +124,6 @@ class Datagram:
     def frames(self) -> Tuple[Any, ...]:
         """Every link envelope in this datagram, in wire order."""
         return self.packets if self.packets else (self.packet,)
-
-
-class _BufferPool:
-    """A small free-list of encode buffers (single-threaded ownership)."""
-
-    __slots__ = ("_free", "_max")
-
-    def __init__(self, max_buffers: int = 8):
-        self._free: List[bytearray] = []
-        self._max = max_buffers
-
-    def acquire(self) -> bytearray:
-        if self._free:
-            return self._free.pop()
-        return bytearray(2048)
-
-    def release(self, buf: bytearray) -> None:
-        if len(self._free) < self._max:
-            self._free.append(buf)
-
-
-_ENCODE_POOL = _BufferPool()
-
-
-class _Writer:
-    """Binary writer over a growable buffer with the codec's primitives.
-
-    Writes land directly in ``buf`` via ``pack_into`` — no intermediate
-    ``bytes`` objects and no final join.  ``pos`` tracks the write head;
-    the caller slices ``buf[:pos]`` once at the end.
-    """
-
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: Optional[bytearray] = None, start: int = 0) -> None:
-        self.buf = bytearray(256) if buf is None else buf
-        self.pos = start
-
-    def _grow(self, need: int) -> None:
-        buf = self.buf
-        buf.extend(bytearray(max(need - len(buf), len(buf), 256)))
-
-    # Primitives ----------------------------------------------------------
-    def u8(self, value: int) -> None:
-        pos = self.pos
-        if pos + 1 > len(self.buf):
-            self._grow(pos + 1)
-        try:
-            self.buf[pos] = value
-        except ValueError:
-            raise WireEncodeError(f"u8 out of range: {value}") from None
-        self.pos = pos + 1
-
-    def u16(self, value: int) -> None:
-        if not 0 <= value <= 0xFFFF:
-            raise WireEncodeError(f"u16 out of range: {value}")
-        pos = self.pos
-        if pos + 2 > len(self.buf):
-            self._grow(pos + 2)
-        _S_U16.pack_into(self.buf, pos, value)
-        self.pos = pos + 2
-
-    def u32(self, value: int) -> None:
-        if not 0 <= value <= 0xFFFFFFFF:
-            raise WireEncodeError(f"u32 out of range: {value}")
-        pos = self.pos
-        if pos + 4 > len(self.buf):
-            self._grow(pos + 4)
-        _S_U32.pack_into(self.buf, pos, value)
-        self.pos = pos + 4
-
-    def patch_u32(self, at: int, value: int) -> None:
-        """Back-patch a u32 written earlier (batch frame lengths)."""
-        if not 0 <= value <= 0xFFFFFFFF:
-            raise WireEncodeError(f"u32 out of range: {value}")
-        _S_U32.pack_into(self.buf, at, value)
-
-    def i64(self, value: int) -> None:
-        pos = self.pos
-        if pos + 8 > len(self.buf):
-            self._grow(pos + 8)
-        try:
-            _S_I64.pack_into(self.buf, pos, value)
-        except struct.error:
-            raise WireEncodeError(f"i64 out of range: {value}") from None
-        self.pos = pos + 8
-
-    def f64(self, value: float) -> None:
-        pos = self.pos
-        if pos + 8 > len(self.buf):
-            self._grow(pos + 8)
-        _S_F64.pack_into(self.buf, pos, value)
-        self.pos = pos + 8
-
-    def boolean(self, value: bool) -> None:
-        self.u8(1 if value else 0)
-
-    def raw(self, value: bytes) -> None:
-        if not isinstance(value, (bytes, bytearray)):
-            raise WireEncodeError(f"expected bytes, got {type(value).__name__}")
-        length = len(value)
-        if length > 0xFFFF:
-            raise WireEncodeError(f"bytes field too long ({length})")
-        self.u16(length)
-        pos = self.pos
-        end = pos + length
-        if end > len(self.buf):
-            self._grow(end)
-        self.buf[pos:end] = value
-        self.pos = end
-
-    def text(self, value: str) -> None:
-        self.raw(value.encode("utf-8"))
-
-    def opt_f64(self, value: Optional[float]) -> None:
-        if value is None:
-            self.u8(0)
-        else:
-            self.u8(1)
-            self.f64(value)
-
-    # Domain types --------------------------------------------------------
-    def node_id(self, value: Any) -> None:
-        if isinstance(value, bool):
-            raise WireEncodeError("bool is not a node id")
-        if isinstance(value, int):
-            self.u8(_ID_INT)
-            self.i64(value)
-        elif isinstance(value, str):
-            self.u8(_ID_STR)
-            self.text(value)
-        else:
-            raise WireEncodeError(
-                f"node id must be int or str on the wire, got {type(value).__name__}"
-            )
-
-    def signature(self, value: Any) -> None:
-        if value is None:
-            self.u8(_SIG_NONE)
-        elif isinstance(value, SimulatedSignature):
-            self.u8(_SIG_SIMULATED)
-            self.node_id(value.signer)
-            self.i64(value.tag)
-        elif isinstance(value, (bytes, bytearray)):
-            self.u8(_SIG_BYTES)
-            self.raw(bytes(value))
-        elif isinstance(value, int):
-            self.u8(_SIG_INT)
-            self.i64(value)
-        else:
-            raise WireEncodeError(
-                f"unsupported signature type {type(value).__name__}"
-            )
-
-
-class _Reader:
-    """Bounds-checked reader over a memoryview; failures raise WireDecodeError.
-
-    Fixed-width fields are unpacked in place; variable-length fields are
-    budget-checked against the remaining bytes *before* any slice or
-    allocation, so a hostile length prefix cannot trigger a large
-    allocation or a quadratic scan.
-    """
-
-    __slots__ = ("_data", "_pos", "_len")
-
-    def __init__(self, data) -> None:
-        self._data = data
-        self._pos = 0
-        self._len = len(data)
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos == self._len
-
-    @property
-    def remaining(self) -> int:
-        return self._len - self._pos
-
-    def _short(self, count: int) -> WireDecodeError:
-        return WireDecodeError(
-            f"truncated datagram: wanted {count} bytes at offset {self._pos}, "
-            f"have {self._len - self._pos}"
-        )
-
-    def budget(self, count: int, min_size: int, what: str) -> None:
-        """Fail fast when ``count`` elements cannot possibly fit.
-
-        Every count-prefixed collection calls this before looping: a
-        hostile count is rejected in O(1) instead of iterating (or
-        allocating) toward an eventual truncation error.
-        """
-        if count * min_size > self._len - self._pos:
-            raise WireDecodeError(
-                f"{what} count {count} exceeds remaining "
-                f"{self._len - self._pos} bytes"
-            )
-
-    # Primitives ----------------------------------------------------------
-    def u8(self) -> int:
-        pos = self._pos
-        if pos >= self._len:
-            raise self._short(1)
-        self._pos = pos + 1
-        return self._data[pos]
-
-    def u16(self) -> int:
-        pos = self._pos
-        if pos + 2 > self._len:
-            raise self._short(2)
-        self._pos = pos + 2
-        return _S_U16.unpack_from(self._data, pos)[0]
-
-    def u32(self) -> int:
-        pos = self._pos
-        if pos + 4 > self._len:
-            raise self._short(4)
-        self._pos = pos + 4
-        return _S_U32.unpack_from(self._data, pos)[0]
-
-    def i64(self) -> int:
-        pos = self._pos
-        if pos + 8 > self._len:
-            raise self._short(8)
-        self._pos = pos + 8
-        return _S_I64.unpack_from(self._data, pos)[0]
-
-    def f64(self) -> float:
-        pos = self._pos
-        if pos + 8 > self._len:
-            raise self._short(8)
-        self._pos = pos + 8
-        return _S_F64.unpack_from(self._data, pos)[0]
-
-    def boolean(self) -> bool:
-        value = self.u8()
-        if value not in (0, 1):
-            raise WireDecodeError(f"invalid boolean byte {value}")
-        return value == 1
-
-    def raw(self) -> bytes:
-        count = self.u16()
-        pos = self._pos
-        end = pos + count
-        if end > self._len:
-            raise self._short(count)
-        self._pos = end
-        return bytes(self._data[pos:end])
-
-    def text(self) -> str:
-        count = self.u16()
-        pos = self._pos
-        end = pos + count
-        if end > self._len:
-            raise self._short(count)
-        self._pos = end
-        try:
-            return str(self._data[pos:end], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireDecodeError(f"invalid utf-8 in string field: {exc}") from None
-
-    def opt_f64(self) -> Optional[float]:
-        flag = self.u8()
-        if flag == 0:
-            return None
-        if flag != 1:
-            raise WireDecodeError(f"invalid optional flag {flag}")
-        return self.f64()
-
-    def subview(self, count: int):
-        """A zero-copy sub-view of the next ``count`` bytes."""
-        pos = self._pos
-        end = pos + count
-        if end > self._len:
-            raise self._short(count)
-        self._pos = end
-        return self._data[pos:end]
-
-    # Domain types --------------------------------------------------------
-    def node_id(self) -> Any:
-        kind = self.u8()
-        if kind == _ID_INT:
-            return self.i64()
-        if kind == _ID_STR:
-            return self.text()
-        raise WireDecodeError(f"unknown node-id kind {kind}")
-
-    def signature(self) -> Any:
-        kind = self.u8()
-        if kind == _SIG_NONE:
-            return None
-        if kind == _SIG_SIMULATED:
-            return SimulatedSignature(signer=self.node_id(), tag=self.i64())
-        if kind == _SIG_BYTES:
-            return self.raw()
-        if kind == _SIG_INT:
-            return self.i64()
-        raise WireDecodeError(f"unknown signature kind {kind}")
 
 
 # ----------------------------------------------------------------------
@@ -508,376 +161,454 @@ class AddrAnnounce:
 
 
 # ----------------------------------------------------------------------
-# Overlay payloads (carried inside PorData)
+# Field kinds.  Each has ``size`` (its minimum encoded size, which sets
+# the budget of any sequence of it), ``enc(value, out)`` appending to a
+# bytearray, and ``dec(view, pos) -> (value, pos)``.  Decoders may let
+# ``struct.error`` / ``IndexError`` / ``ValueError`` escape on short or
+# bad input; :func:`decode_datagram` turns those into WireDecodeError.
 # ----------------------------------------------------------------------
-def _encode_payload(writer: _Writer, payload: Any) -> None:
-    if isinstance(payload, Message):
-        writer.u8(_PL_MESSAGE)
-        writer.node_id(payload.source)
-        writer.node_id(payload.dest)
-        writer.i64(payload.seq)
-        writer.u8(1 if payload.semantics is Semantics.PRIORITY else 2)
-        writer.i64(payload.priority)
-        writer.opt_f64(payload.expiration)
-        writer.u32(payload.size_bytes)
-        writer.boolean(payload.flooding)
-        if payload.paths is None:
-            writer.u16(0xFFFF)
-        else:
-            if len(payload.paths) >= 0xFFFF:
-                raise WireEncodeError("too many paths")
-            writer.u16(len(payload.paths))
-            for path in payload.paths:
-                writer.u16(len(path))
-                for hop in path:
-                    writer.node_id(hop)
-        writer.f64(payload.sent_at)
-        _encode_app_payload(writer, payload.payload)
-        writer.signature(payload.signature)
-    elif isinstance(payload, E2eAck):
-        writer.u8(_PL_E2E_ACK)
-        writer.node_id(payload.dest)
-        writer.i64(payload.stamp)
-        writer.u16(len(payload.cumulative))
-        for source, seq in payload.cumulative:
-            writer.text(source)
-            writer.i64(seq)
-        writer.signature(payload.signature)
-    elif isinstance(payload, NeighborAck):
-        writer.u8(_PL_NEIGHBOR_ACK)
-        writer.node_id(payload.sender)
-        writer.u16(len(payload.entries))
-        for (source, dest), stored_h, limit in payload.entries:
-            writer.text(source)
-            writer.text(dest)
-            writer.i64(stored_h)
-            writer.i64(limit)
-    elif isinstance(payload, LinkStateUpdate):
-        writer.u8(_PL_LINK_STATE)
-        writer.node_id(payload.issuer)
-        writer.node_id(payload.edge_a)
-        writer.node_id(payload.edge_b)
-        writer.f64(payload.weight)
-        writer.i64(payload.seqno)
-        writer.signature(payload.signature)
-    elif isinstance(payload, StateRequest):
-        writer.u8(_PL_STATE_REQUEST)
-        writer.node_id(payload.sender)
-    elif isinstance(payload, Hello):
-        writer.u8(_PL_HELLO)
-        writer.node_id(payload.sender)
-        writer.i64(payload.stamp)
-    elif isinstance(payload, Mtmw):
-        # Dynamic membership floods successor MTMWs over existing PoR
-        # links (the PoR MAC authenticates the neighbor; the admin
-        # signature inside authenticates the topology itself, and
-        # MtmwHolder.consider rejects stale/forged candidates).
-        writer.u8(_PL_MTMW)
-        topo = payload.topology
-        writer.i64(payload.seqno)
-        nodes = sorted(topo.nodes, key=str)
-        if len(nodes) > 0xFFFF:
-            raise WireEncodeError(f"MTMW with {len(nodes)} nodes is too large")
-        writer.u16(len(nodes))
-        for node in nodes:
-            writer.node_id(node)
-        edges = sorted(topo.edges(), key=lambda e: (str(e[0]), str(e[1])))
-        if len(edges) > 0xFFFF:
-            raise WireEncodeError(f"MTMW with {len(edges)} edges is too large")
-        writer.u16(len(edges))
-        for a, b in edges:
-            writer.node_id(a)
-            writer.node_id(b)
-            writer.f64(topo.weight(a, b))
-        writer.signature(payload.signature)
-    elif isinstance(payload, AdmissionNack):
-        # Unsigned like NeighborAck: only ever carried over the
-        # already-authenticated PoR link between direct neighbors.
-        writer.u8(_PL_ADMISSION_NACK)
-        writer.node_id(payload.ingress)
-        writer.node_id(payload.home)
-        writer.text(payload.client)
-        writer.text(payload.key)
-        writer.text(payload.outcome)
-        writer.i64(payload.seq)
-    else:
-        raise WireEncodeError(
-            f"payload type {type(payload).__name__} is not supported on the "
-            "live wire"
-        )
+class _Fixed:
+    """A fixed-width int or float; adjacent ones in a record share one
+    ``Struct``.  ``to_wire`` / ``from_wire`` map non-numeric values."""
+
+    def __init__(
+        self,
+        fmt: str,
+        to_wire: Optional[Callable] = None,
+        from_wire: Optional[Callable] = None,
+    ):
+        self.fmt = fmt
+        self.to_wire = to_wire
+        self.from_wire = from_wire
+        packer = struct.Struct(">" + fmt)
+        pack, unpack, size = packer.pack, packer.unpack_from, packer.size
+        self.size = size
+
+        # Used alone: a sequence item or a union variant.
+        def enc(value: Any, out: bytearray) -> None:
+            out += pack(to_wire(value) if to_wire else value)
+
+        def dec(view, pos: int) -> Tuple[Any, int]:
+            value = unpack(view, pos)[0]
+            return (from_wire(value) if from_wire else value), pos + size
+
+        self.enc, self.dec = enc, dec
 
 
-def _encode_app_payload(writer: _Writer, payload: Any) -> None:
-    """The opaque application payload: None, bytes, or text."""
-    if payload is None:
-        writer.u8(0)
-    elif isinstance(payload, (bytes, bytearray)):
-        writer.u8(1)
-        writer.raw(bytes(payload))
-    elif isinstance(payload, str):
-        writer.u8(2)
-        writer.text(payload)
-    else:
-        raise WireEncodeError(
-            "live-mode application payloads must be None, bytes, or str "
-            f"(got {type(payload).__name__})"
-        )
-
-
-def _decode_app_payload(reader: _Reader) -> Any:
-    kind = reader.u8()
-    if kind == 0:
-        return None
-    if kind == 1:
-        return reader.raw()
-    if kind == 2:
-        return reader.text()
-    raise WireDecodeError(f"unknown application-payload kind {kind}")
-
-
-def _decode_payload(reader: _Reader) -> Any:
-    tag = reader.u8()
-    if tag == _PL_MESSAGE:
-        source = reader.node_id()
-        dest = reader.node_id()
-        seq = reader.i64()
-        semantics_byte = reader.u8()
-        if semantics_byte == 1:
-            semantics = Semantics.PRIORITY
-        elif semantics_byte == 2:
-            semantics = Semantics.RELIABLE
-        else:
-            raise WireDecodeError(f"unknown semantics byte {semantics_byte}")
-        priority = reader.i64()
-        expiration = reader.opt_f64()
-        size_bytes = reader.u32()
-        flooding = reader.boolean()
-        path_count = reader.u16()
-        paths: Optional[Tuple[Tuple[Any, ...], ...]]
-        if path_count == 0xFFFF:
-            paths = None
-        else:
-            # Each path costs at least a u16 hop count.
-            reader.budget(path_count, 2, "path")
-            paths_list = []
-            for _ in range(path_count):
-                hop_count = reader.u16()
-                # Each hop is at least a kind byte + 2-byte text length.
-                reader.budget(hop_count, 3, "path hop")
-                paths_list.append(
-                    tuple(reader.node_id() for _ in range(hop_count))
-                )
-            paths = tuple(paths_list)
-        sent_at = reader.f64()
-        app_payload = _decode_app_payload(reader)
-        signature = reader.signature()
-        return Message(
-            source=source,
-            dest=dest,
-            seq=seq,
-            semantics=semantics,
-            priority=priority,
-            expiration=expiration,
-            size_bytes=size_bytes,
-            flooding=flooding,
-            paths=paths,
-            sent_at=sent_at,
-            payload=app_payload,
-            signature=signature,
-        )
-    if tag == _PL_E2E_ACK:
-        dest = reader.node_id()
-        stamp = reader.i64()
-        count = reader.u16()
-        # Each entry is at least a 2-byte text length + an i64.
-        reader.budget(count, 10, "cumulative-ack entry")
-        cumulative = tuple(
-            (reader.text(), reader.i64()) for _ in range(count)
-        )
-        return E2eAck(dest, stamp, cumulative, reader.signature())
-    if tag == _PL_NEIGHBOR_ACK:
-        sender = reader.node_id()
-        count = reader.u16()
-        # Two text lengths plus two i64s per entry, minimum.
-        reader.budget(count, 20, "neighbor-ack entry")
-        entries = tuple(
-            ((reader.text(), reader.text()), reader.i64(), reader.i64())
-            for _ in range(count)
-        )
-        return NeighborAck(sender, entries)
-    if tag == _PL_LINK_STATE:
-        return LinkStateUpdate(
-            issuer=reader.node_id(),
-            edge_a=reader.node_id(),
-            edge_b=reader.node_id(),
-            weight=reader.f64(),
-            seqno=reader.i64(),
-            signature=reader.signature(),
-        )
-    if tag == _PL_STATE_REQUEST:
-        return StateRequest(reader.node_id())
-    if tag == _PL_HELLO:
-        return Hello(reader.node_id(), reader.i64())
-    if tag == _PL_MTMW:
-        seqno = reader.i64()
-        node_count = reader.u16()
-        # Each node id is at least a kind byte + 2-byte text length.
-        reader.budget(node_count, 3, "mtmw node")
-        topo = Topology()
+def _lookup(table: dict, what: str) -> Callable:
+    def convert(key: Any) -> Any:
         try:
-            for _ in range(node_count):
-                topo.add_node(reader.node_id())
-            edge_count = reader.u16()
-            # Two node ids (>= 3 bytes each) plus an f64 weight.
-            reader.budget(edge_count, 14, "mtmw edge")
-            for _ in range(edge_count):
-                a = reader.node_id()
-                b = reader.node_id()
-                topo.add_edge(a, b, reader.f64())
-        except TopologyError as exc:
-            raise WireDecodeError(f"invalid MTMW topology: {exc}") from None
-        return Mtmw(topo, seqno, reader.signature())
-    if tag == _PL_ADMISSION_NACK:
-        return AdmissionNack(
-            ingress=reader.node_id(),
-            home=reader.node_id(),
-            client=reader.text(),
-            key=reader.text(),
-            outcome=reader.text(),
-            seq=reader.i64(),
+            return table[key]
+        except KeyError:
+            raise WireDecodeError(f"invalid {what} {key!r}") from None
+
+    return convert
+
+
+def _span(view, pos: int) -> Tuple[int, int]:
+    """Bounds of the u16-length-prefixed field at ``pos``."""
+    start = pos + 2
+    end = start + _S_U16.unpack_from(view, pos)[0]
+    if end > len(view):
+        raise WireDecodeError(
+            f"truncated datagram: field at offset {start} needs "
+            f"{end - start} bytes, have {len(view) - start}"
         )
-    raise WireDecodeError(f"unknown payload tag {tag}")
+    return start, end
 
 
-# ----------------------------------------------------------------------
-# Link envelopes
-# ----------------------------------------------------------------------
-def _encode_envelope(writer: _Writer, packet: Any) -> None:
-    if isinstance(packet, PorData):
-        writer.u8(_ENV_POR_DATA)
-        writer.i64(packet.epoch)
-        writer.i64(packet.seq)
-        writer.raw(packet.nonce)
-        writer.u32(packet.wire_size)
-        writer.signature(packet.mac)
-        _encode_payload(writer, packet.payload)
-    elif isinstance(packet, PorAck):
-        writer.u8(_ENV_POR_ACK)
-        writer.i64(packet.epoch)
-        writer.i64(packet.cum_seq)
-        writer.raw(packet.proof)
-        writer.u16(len(packet.missing))
-        for seq in packet.missing:
-            writer.i64(seq)
-        writer.signature(packet.mac)
-    elif isinstance(packet, PorHandshake):
-        writer.u8(_ENV_POR_HANDSHAKE)
-        writer.node_id(packet.sender)
-        writer.raw(packet.dh_public)
-        writer.signature(packet.signature)
-    elif isinstance(packet, _HelloWrapper):
-        writer.u8(_ENV_HELLO)
-        writer.node_id(packet.hello.sender)
-        writer.i64(packet.hello.stamp)
-    elif isinstance(packet, AddrQuery):
-        writer.u8(_ENV_ADDR_QUERY)
-        writer.node_id(packet.sender)
-        writer.i64(packet.nonce)
-        if len(packet.targets) > 0xFFFF:
-            raise WireEncodeError("too many address-query targets")
-        writer.u16(len(packet.targets))
-        for target in packet.targets:
-            writer.node_id(target)
-    elif isinstance(packet, AddrReply):
-        writer.u8(_ENV_ADDR_REPLY)
-        writer.i64(packet.nonce)
-        if len(packet.entries) > 0xFFFF:
-            raise WireEncodeError("too many address-reply entries")
-        writer.u16(len(packet.entries))
-        for node, host, port in packet.entries:
-            writer.node_id(node)
-            writer.text(host)
-            writer.u16(port)
-    elif isinstance(packet, AddrAnnounce):
-        writer.u8(_ENV_ADDR_ANNOUNCE)
-        writer.node_id(packet.sender)
-        writer.text(packet.host)
-        writer.u16(packet.port)
-    else:
+class _Bytes:
+    """u16-length-prefixed bytes."""
+
+    size = 2
+
+    @staticmethod
+    def enc(value: Any, out: bytearray) -> None:
+        out += _S_U16.pack(len(value))
+        out += value
+
+    @staticmethod
+    def dec(view, pos: int) -> Tuple[Any, int]:
+        start, end = _span(view, pos)
+        return bytes(view[start:end]), end
+
+
+class _Text(_Bytes):
+    """u16-length-prefixed UTF-8 text."""
+
+    @staticmethod
+    def enc(value: Any, out: bytearray) -> None:
+        _Bytes.enc(str.encode(value), out)  # TypeError for non-str
+
+    @staticmethod
+    def dec(view, pos: int) -> Tuple[Any, int]:
+        start, end = _span(view, pos)
+        return str(view[start:end], "utf-8"), end
+
+
+def _no_body(view, pos: int) -> Tuple[None, int]:
+    return None, pos
+
+
+class _Union:
+    """A one-byte tag, then the body of the variant that tag names.
+
+    ``variants`` is ``(tag, python type(s), kind)``; a ``None`` kind has
+    no body and decodes to ``None``.  Encoding picks the variant by exact
+    type first, then by ``isinstance`` in table order, never matching
+    ``exclude``.
+    """
+
+    def __init__(self, what: str, variants, exclude: tuple = ()):
+        self.what = what
+        self.exclude = exclude
+        self._variants = [
+            (types, (tag, kind.enc if kind else None)) for tag, types, kind in variants
+        ]
+        self._by_type = {}
+        for types, variant in self._variants:
+            for cls in types if isinstance(types, tuple) else (types,):
+                self._by_type.setdefault(cls, variant)
+        self._decoders = {
+            tag: kind.dec if kind else _no_body for tag, _, kind in variants
+        }
+        self.size = 1 + min(kind.size if kind else 0 for _, _, kind in variants)
+
+    def enc(self, value: Any, out: bytearray) -> None:
+        tag, enc = self._by_type.get(type(value)) or self._match(value)
+        out.append(tag)
+        if enc is not None:
+            enc(value, out)
+
+    def _match(self, value: Any):
+        if not isinstance(value, self.exclude):
+            for types, variant in self._variants:
+                if isinstance(value, types):
+                    return variant
         raise WireEncodeError(
-            f"unsupported link envelope {type(packet).__name__}"
+            f"{type(value).__name__} is not a supported {self.what} on the wire"
         )
 
+    def dec(self, view, pos: int) -> Tuple[Any, int]:
+        try:
+            dec = self._decoders[view[pos]]
+        except KeyError:
+            raise WireDecodeError(f"unknown {self.what} tag {view[pos]}") from None
+        return dec(view, pos + 1)
 
-def _decode_envelope(reader: _Reader) -> Any:
-    tag = reader.u8()
-    if tag == _ENV_POR_DATA:
-        epoch = reader.i64()
-        seq = reader.i64()
-        nonce = reader.raw()
-        wire_size = reader.u32()
-        mac = reader.signature()
-        payload = _decode_payload(reader)
-        packet = PorData(epoch, seq, nonce, payload, wire_size)
-        packet.mac = mac
-        return packet
-    if tag == _ENV_POR_ACK:
-        epoch = reader.i64()
-        cum_seq = reader.i64()
-        proof = reader.raw()
-        count = reader.u16()
-        reader.budget(count, 8, "missing-seq")
-        missing = tuple(reader.i64() for _ in range(count))
-        mac = reader.signature()
-        packet = PorAck(epoch, cum_seq, proof, missing)
-        packet.mac = mac
-        return packet
-    if tag == _ENV_POR_HANDSHAKE:
-        return PorHandshake(reader.node_id(), reader.raw(), reader.signature())
-    if tag == _ENV_HELLO:
-        return _HelloWrapper(Hello(reader.node_id(), reader.i64()))
-    if tag == _ENV_ADDR_QUERY:
-        sender = reader.node_id()
-        nonce = reader.i64()
-        count = reader.u16()
-        reader.budget(count, 3, "address-query target")
-        return AddrQuery(
-            sender, nonce, tuple(reader.node_id() for _ in range(count))
+
+class _Seq:
+    """A u16 count, then that many items; decodes to a tuple.  With
+    ``nullable``, the count ``0xFFFF`` stands for ``None``."""
+
+    size = 2
+
+    def __init__(self, item, nullable: bool = False):
+        self.item = item
+        self.nullable = nullable
+
+    def enc(self, value: Any, out: bytearray) -> None:
+        if value is None and self.nullable:
+            out += b"\xff\xff"
+            return
+        count = len(value)
+        if count == 0xFFFF and self.nullable:
+            raise WireEncodeError("sequence of 65535 items collides with None")
+        out += _S_U16.pack(count)
+        enc = self.item.enc
+        for item in value:
+            enc(item, out)
+
+    def dec(self, view, pos: int) -> Tuple[Any, int]:
+        (count,) = _S_U16.unpack_from(view, pos)
+        pos += 2
+        if count == 0xFFFF and self.nullable:
+            return None, pos
+        if count * self.item.size > len(view) - pos:
+            raise WireDecodeError(
+                f"count {count} exceeds remaining {len(view) - pos} bytes"
+            )
+        dec = self.item.dec
+        items = []
+        for _ in range(count):
+            item, pos = dec(view, pos)
+            items.append(item)
+        return tuple(items), pos
+
+
+class _Record:
+    """An ordered field list, compiled once into straight-line code.
+
+    ``fields`` is ``(name, kind)`` pairs in wire order; a name is an
+    attribute path, or an index when the record is a plain tuple.  When
+    ``get`` is given, encoding reads the field values as ``get(obj)``
+    instead.  Decoding returns ``build(*values)``, or the tuple of values
+    when ``build`` is ``None``.  Each run of adjacent :class:`_Fixed`
+    fields compiles to one ``Struct.pack`` / ``unpack_from``, in the same
+    way ``dataclasses`` generates ``__init__``.
+    """
+
+    def __init__(
+        self, build: Optional[Callable], fields, get: Optional[Callable] = None
+    ):
+        self.size = sum(kind.size for _, kind in fields)
+        env = {"build": build, "get": get}
+        enc = ["v = get(obj)"] if get else []
+        dec = []
+        names = [f"v{i}" for i in range(len(fields))]
+
+        def value(i: int) -> str:
+            name = fields[i][0]
+            if get:
+                return f"v[{i}]"
+            return f"obj[{name}]" if isinstance(name, int) else f"obj.{name}"
+
+        runs = groupby(range(len(fields)), lambda i: isinstance(fields[i][1], _Fixed))
+        for fixed, run in runs:
+            run = list(run)
+            if not fixed:
+                for i in run:
+                    env[f"e{i}"], env[f"d{i}"] = fields[i][1].enc, fields[i][1].dec
+                    enc.append(f"e{i}({value(i)}, out)")
+                    dec.append(f"v{i}, pos = d{i}(view, pos)")
+                continue
+            first = run[0]
+            packer = struct.Struct(">" + "".join(fields[j][1].fmt for j in run))
+            env[f"p{first}"], env[f"u{first}"] = packer.pack, packer.unpack_from
+            args = []
+            for j in run:
+                kind = fields[j][1]
+                env[f"t{j}"], env[f"f{j}"] = kind.to_wire, kind.from_wire
+                args.append(f"t{j}({value(j)})" if kind.to_wire else value(j))
+            enc.append(f"out += p{first}({', '.join(args)})")
+            dec.append(f"{', '.join(names[j] for j in run)}, = u{first}(view, pos)")
+            dec.append(f"pos += {packer.size}")
+            dec.extend(f"v{j} = f{j}(v{j})" for j in run if fields[j][1].from_wire)
+        values = ", ".join(names)
+        result = f"({values},)" if build is None else f"build({values})"
+        exec(
+            "def enc(obj, out):\n    " + "\n    ".join(enc) + "\n"
+            "def dec(view, pos):\n    " + "\n    ".join(dec)
+            + f"\n    return {result}, pos\n",
+            env,
         )
-    if tag == _ENV_ADDR_REPLY:
-        nonce = reader.i64()
-        count = reader.u16()
-        # A node id (>= 3 bytes), a host text length, and a u16 port.
-        reader.budget(count, 7, "address-reply entry")
-        return AddrReply(
-            nonce,
-            tuple(
-                (reader.node_id(), reader.text(), reader.u16())
-                for _ in range(count)
-            ),
-        )
-    if tag == _ENV_ADDR_ANNOUNCE:
-        return AddrAnnounce(reader.node_id(), reader.text(), reader.u16())
-    raise WireDecodeError(f"unknown envelope tag {tag}")
+        self.enc, self.dec = env["enc"], env["dec"]
+
+
+def _tuple(*kinds) -> _Record:
+    """A plain tuple of fields (a sequence item)."""
+    return _Record(None, list(enumerate(kinds)))
+
+
+# ----------------------------------------------------------------------
+# The schema table
+# ----------------------------------------------------------------------
+_U16 = _Fixed("H")
+_U32 = _Fixed("I")
+_I64 = _Fixed("q")
+_F64 = _Fixed("d")
+_BOOL = _Fixed(
+    "B", to_wire=bool, from_wire=_lookup({0: False, 1: True}, "boolean byte")
+)
+_SEMANTICS = _Fixed(
+    "B",
+    to_wire=lambda value: 1 if value is Semantics.PRIORITY else 2,
+    from_wire=_lookup({1: Semantics.PRIORITY, 2: Semantics.RELIABLE}, "semantics byte"),
+)
+_BYTES = _Bytes()
+_TEXT = _Text()
+
+# Node ids round-trip typed: the sim uses ints for the global cloud and
+# strings elsewhere, and both are dict keys in protocol state.
+_NODE = _Union("node id", [(0, int, _I64), (1, str, _TEXT)], exclude=bool)
+# Any non-None value is packed as a float (``float`` listed for speed).
+_OPT_F64 = _Union("optional float", [
+    (0, type(None), None),
+    (1, (float, object), _F64),
+])
+_APP = _Union("application payload", [
+    (0, type(None), None),
+    (1, (bytes, bytearray), _BYTES),
+    (2, str, _TEXT),
+])
+_SIGNATURE = _Union("signature", [
+    (0, type(None), None),
+    (1, SimulatedSignature, _Record(SimulatedSignature, [
+        ("signer", _NODE),
+        ("tag", _I64),
+    ])),
+    (2, (bytes, bytearray), _BYTES),
+    (3, int, _I64),
+])
+
+
+def _mtmw_fields(mtmw: Mtmw) -> Tuple[Any, ...]:
+    topo = mtmw.topology
+    edges = sorted(topo.edges(), key=lambda e: (str(e[0]), str(e[1])))
+    return (
+        mtmw.seqno,
+        sorted(topo.nodes, key=str),
+        [(a, b, topo.weight(a, b)) for a, b in edges],
+        mtmw.signature,
+    )
+
+
+def _mtmw(seqno: int, nodes, edges, signature: Any) -> Mtmw:
+    topo = Topology()
+    try:
+        for node in nodes:
+            topo.add_node(node)
+        for a, b, weight in edges:
+            topo.add_edge(a, b, weight)
+    except TopologyError as exc:
+        raise WireDecodeError(f"invalid MTMW topology: {exc}") from None
+    return Mtmw(topo, seqno, signature)
+
+
+def _por_data(epoch, seq, nonce, wire_size, mac, payload) -> PorData:
+    packet = PorData(epoch, seq, nonce, payload, wire_size)
+    packet.mac = mac
+    return packet
+
+
+def _por_ack(epoch, cum_seq, proof, missing, mac) -> PorAck:
+    packet = PorAck(epoch, cum_seq, proof, missing)
+    packet.mac = mac
+    return packet
+
+
+#: Overlay payloads carried inside ``PorData``.
+_PAYLOAD = _Union("payload", [
+    (1, Message, _Record(Message, [
+        ("source", _NODE),
+        ("dest", _NODE),
+        ("seq", _I64),
+        ("semantics", _SEMANTICS),
+        ("priority", _I64),
+        ("expiration", _OPT_F64),
+        ("size_bytes", _U32),
+        ("flooding", _BOOL),
+        ("paths", _Seq(_Seq(_NODE), nullable=True)),
+        ("sent_at", _F64),
+        ("payload", _APP),
+        ("signature", _SIGNATURE),
+    ])),
+    (2, E2eAck, _Record(E2eAck, [
+        ("dest", _NODE),
+        ("stamp", _I64),
+        ("cumulative", _Seq(_tuple(_TEXT, _I64))),
+        ("signature", _SIGNATURE),
+    ])),
+    # Unsigned: only ever carried over the authenticated PoR link.
+    (3, NeighborAck, _Record(NeighborAck, [
+        ("sender", _NODE),
+        ("entries", _Seq(_tuple(_tuple(_TEXT, _TEXT), _I64, _I64))),
+    ])),
+    (4, LinkStateUpdate, _Record(LinkStateUpdate, [
+        ("issuer", _NODE),
+        ("edge_a", _NODE),
+        ("edge_b", _NODE),
+        ("weight", _F64),
+        ("seqno", _I64),
+        ("signature", _SIGNATURE),
+    ])),
+    (5, StateRequest, _Record(StateRequest, [("sender", _NODE)])),
+    (6, Hello, _Record(Hello, [("sender", _NODE), ("stamp", _I64)])),
+    # Successor MTMWs flood over PoR links; the admin signature inside
+    # authenticates the topology and MtmwHolder.consider rejects stale or
+    # forged candidates.  Nodes and edges go in sorted order.
+    (7, Mtmw, _Record(_mtmw, [
+        ("seqno", _I64),
+        ("nodes", _Seq(_NODE)),
+        ("edges", _Seq(_tuple(_NODE, _NODE, _F64))),
+        ("signature", _SIGNATURE),
+    ], get=_mtmw_fields)),
+    # Unsigned like NeighborAck.
+    (8, AdmissionNack, _Record(AdmissionNack, [
+        ("ingress", _NODE),
+        ("home", _NODE),
+        ("client", _TEXT),
+        ("key", _TEXT),
+        ("outcome", _TEXT),
+        ("seq", _I64),
+    ])),
+])
+
+#: Link envelopes: the outermost object of each datagram frame.
+_ENVELOPE = _Union("link envelope", [
+    (1, PorData, _Record(_por_data, [
+        ("epoch", _I64),
+        ("seq", _I64),
+        ("nonce", _BYTES),
+        ("wire_size", _U32),
+        ("mac", _SIGNATURE),
+        ("payload", _PAYLOAD),
+    ])),
+    (2, PorAck, _Record(_por_ack, [
+        ("epoch", _I64),
+        ("cum_seq", _I64),
+        ("proof", _BYTES),
+        ("missing", _Seq(_I64)),
+        ("mac", _SIGNATURE),
+    ])),
+    (3, PorHandshake, _Record(PorHandshake, [
+        ("sender", _NODE),
+        ("dh_public", _BYTES),
+        ("signature", _SIGNATURE),
+    ])),
+    (4, _HelloWrapper, _Record(
+        lambda sender, stamp: _HelloWrapper(Hello(sender, stamp)),
+        [("hello.sender", _NODE), ("hello.stamp", _I64)],
+    )),
+    # Cluster bootstrap discovery.  These ride outside the PoR link (a
+    # joining node has no link yet) and are unauthenticated: acting on
+    # one only updates an address hint, never protocol state.
+    (5, AddrQuery, _Record(AddrQuery, [
+        ("sender", _NODE),
+        ("nonce", _I64),
+        ("targets", _Seq(_NODE)),
+    ])),
+    (6, AddrReply, _Record(AddrReply, [
+        ("nonce", _I64),
+        ("entries", _Seq(_tuple(_NODE, _TEXT, _U16))),
+    ])),
+    (7, AddrAnnounce, _Record(AddrAnnounce, [
+        ("sender", _NODE),
+        ("host", _TEXT),
+        ("port", _U16),
+    ])),
+])
 
 
 # ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------
-def _finish_datagram(writer: _Writer, flags: int) -> bytes:
-    """Fill in the reserved header + CRC and copy out the immutable bytes."""
-    body_len = writer.pos - HEADER_SIZE
+def _encode(sender: Any, receiver: Any, packets: Sequence[Any], flags: int) -> bytes:
+    out = bytearray(HEADER_SIZE)
+    try:
+        _NODE.enc(sender, out)
+        _NODE.enc(receiver, out)
+        if flags & FLAG_BATCH:
+            out += _S_U16.pack(len(packets))
+            for packet in packets:
+                length_at = len(out)
+                out += b"\0\0\0\0"  # frame length, back-patched below
+                _ENVELOPE.enc(packet, out)
+                _S_U32.pack_into(out, length_at, len(out) - length_at - 4)
+        else:
+            _ENVELOPE.enc(packets[0], out)
+    except (struct.error, TypeError, ValueError) as exc:
+        # Out-of-range ints, non-number floats, non-str text, lone
+        # surrogates: one bad packet must fail as the typed error.
+        raise WireEncodeError(f"unencodable field: {exc}") from None
+    body_len = len(out) - HEADER_SIZE
     if body_len > MAX_BODY:
-        raise WireEncodeError(
-            f"encoded body is {body_len} bytes (max {MAX_BODY})"
-        )
-    buf = writer.buf
-    buf[0:2] = MAGIC
-    _S_VLF.pack_into(buf, 2, VERSION, flags, body_len)
-    with memoryview(buf) as view:
-        crc = _crc32(view[HEADER_SIZE:writer.pos], _crc32(view[:8]))
-        _S_U32.pack_into(buf, 8, crc)
-        return bytes(view[: writer.pos])
+        raise WireEncodeError(f"encoded body is {body_len} bytes (max {MAX_BODY})")
+    _S_HEAD.pack_into(out, 0, MAGIC, VERSION, flags, body_len)
+    with memoryview(out) as view:
+        crc = _crc32(view[HEADER_SIZE:], _crc32(view[:8]))
+    _S_U32.pack_into(out, 8, crc)
+    return bytes(out)
 
 
 def encode_datagram(sender: Any, receiver: Any, packet: Any) -> bytes:
@@ -887,15 +618,7 @@ def encode_datagram(sender: Any, receiver: Any, packet: Any) -> bytes:
     link the packet travels on; the receiving transport uses them to
     dispatch to the right PoR endpoint and to drop misdirected traffic.
     """
-    buf = _ENCODE_POOL.acquire()
-    try:
-        writer = _Writer(buf, start=HEADER_SIZE)
-        writer.node_id(sender)
-        writer.node_id(receiver)
-        _encode_envelope(writer, packet)
-        return _finish_datagram(writer, 0)
-    finally:
-        _ENCODE_POOL.release(writer.buf)
+    return _encode(sender, receiver, (packet,), 0)
 
 
 def encode_batch_datagram(
@@ -910,31 +633,7 @@ def encode_batch_datagram(
     """
     if not packets:
         raise WireEncodeError("empty batch")
-    if len(packets) == 1:
-        return encode_datagram(sender, receiver, packets[0])
-    if len(packets) > 0xFFFF:
-        raise WireEncodeError(f"too many frames in batch ({len(packets)})")
-    buf = _ENCODE_POOL.acquire()
-    try:
-        writer = _Writer(buf, start=HEADER_SIZE)
-        writer.node_id(sender)
-        writer.node_id(receiver)
-        writer.u16(len(packets))
-        for packet in packets:
-            length_at = writer.pos
-            writer.u32(0)  # frame length, back-patched below
-            frame_start = writer.pos
-            _encode_envelope(writer, packet)
-            writer.patch_u32(length_at, writer.pos - frame_start)
-        return _finish_datagram(writer, FLAG_BATCH)
-    finally:
-        _ENCODE_POOL.release(writer.buf)
-
-
-def batch_fits(encoded_sizes: Sequence[int], overhead_per_frame: int = 4) -> bool:
-    """Whether frames of the given body sizes fit one batch datagram."""
-    total = sum(encoded_sizes) + overhead_per_frame * len(encoded_sizes)
-    return total <= MAX_BODY
+    return _encode(sender, receiver, packets, FLAG_BATCH if len(packets) > 1 else 0)
 
 
 def decode_datagram(data) -> Datagram:
@@ -972,34 +671,39 @@ def decode_datagram(data) -> Datagram:
         )
     if _crc32(view[HEADER_SIZE:], _crc32(view[:8])) != crc:
         raise WireDecodeError("checksum mismatch (datagram corrupted in flight)")
-    reader = _Reader(view[HEADER_SIZE:])
+    body = view[HEADER_SIZE:]
     try:
-        sender = reader.node_id()
-        receiver = reader.node_id()
+        sender, pos = _NODE.dec(body, 0)
+        receiver, pos = _NODE.dec(body, pos)
         if flags & FLAG_BATCH:
-            count = reader.u16()
+            (count,) = _S_U16.unpack_from(body, pos)
+            pos += 2
             if count == 0:
                 raise WireDecodeError("empty batch container")
             # Each frame costs at least a u32 length + a 1-byte tag.
-            reader.budget(count, 5, "batch frame")
+            if count * 5 > body_len - pos:
+                raise WireDecodeError(f"batch frame count {count} exceeds body")
             frames = []
             for _ in range(count):
-                frame_len = reader.u32()
-                frame_reader = _Reader(reader.subview(frame_len))
-                frames.append(_decode_envelope(frame_reader))
-                if not frame_reader.exhausted:
+                end = pos + 4 + _S_U32.unpack_from(body, pos)[0]
+                if end > body_len:
+                    raise WireDecodeError("batch frame overruns the body")
+                frame = body[pos + 4:end]
+                packet, used = _ENVELOPE.dec(frame, 0)
+                if used != len(frame):
                     raise WireDecodeError("trailing bytes after envelope")
-            packet = frames[0]
+                frames.append(packet)
+                pos = end
             packets = tuple(frames)
         else:
-            packet = _decode_envelope(reader)
+            packet, pos = _ENVELOPE.dec(body, pos)
             packets = (packet,)
-    except WireDecodeError:
-        raise
     except (struct.error, IndexError, ValueError, OverflowError) as exc:
-        # Belt and braces: the reader's bounds checks should catch
-        # everything, but no primitive error may escape to the caller.
+        # Short fields surface as struct.error / IndexError, bad UTF-8 as
+        # ValueError: no primitive error may escape to the caller.
         raise WireDecodeError(f"malformed datagram: {exc}") from None
-    if not reader.exhausted:
+    if pos != body_len:
         raise WireDecodeError("trailing bytes after envelope")
-    return Datagram(sender=sender, receiver=receiver, packet=packet, packets=packets)
+    return Datagram(
+        sender=sender, receiver=receiver, packet=packets[0], packets=packets
+    )

@@ -38,16 +38,22 @@ from repro.runtime.wire import (
     MAGIC,
     MAX_BODY,
     VERSION,
+    AddrAnnounce,
+    AddrQuery,
+    AddrReply,
     Datagram,
     decode_datagram,
     encode_datagram,
 )
+from repro.topology.graph import Topology, edge_key
+from repro.topology.mtmw import Mtmw
 
 # ----------------------------------------------------------------------
 # Strategies
 # ----------------------------------------------------------------------
 I64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 U32 = st.integers(min_value=0, max_value=2**32 - 1)
+U16 = st.integers(min_value=0, max_value=0xFFFF)
 SHORT_TEXT = st.text(max_size=40)
 NODE_IDS = st.one_of(I64, SHORT_TEXT)
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -116,6 +122,24 @@ ADMISSION_NACKS = st.builds(
     seq=I64,
 )
 
+
+@st.composite
+def mtmws(draw) -> Mtmw:
+    nodes = draw(st.lists(NODE_IDS, max_size=6, unique=True))
+    topo = Topology()
+    for node in nodes:
+        topo.add_node(node)
+    if len(nodes) >= 2:
+        endpoint = st.sampled_from(nodes)
+        weight = st.floats(min_value=1e-6, max_value=1e6)
+        for a, b, w in draw(
+            st.lists(st.tuples(endpoint, endpoint, weight), max_size=8)
+        ):
+            if a != b:
+                topo.add_edge(a, b, w)
+    return Mtmw(topo, draw(I64), draw(SIGNATURES))
+
+
 PAYLOADS = st.one_of(
     MESSAGES,
     E2E_ACKS,
@@ -124,6 +148,7 @@ PAYLOADS = st.one_of(
     st.builds(StateRequest, sender=NODE_IDS),
     st.builds(Hello, sender=NODE_IDS, stamp=I64),
     ADMISSION_NACKS,
+    mtmws(),
 )
 
 
@@ -160,7 +185,35 @@ ENVELOPES = st.one_of(
         signature=SIGNATURES,
     ),
     st.builds(Hello, sender=NODE_IDS, stamp=I64).map(_HelloWrapper),
+    st.builds(
+        AddrQuery,
+        sender=NODE_IDS,
+        nonce=I64,
+        targets=st.lists(NODE_IDS, max_size=6).map(tuple),
+    ),
+    st.builds(
+        AddrReply,
+        nonce=I64,
+        entries=st.lists(
+            st.tuples(NODE_IDS, SHORT_TEXT, U16), max_size=6
+        ).map(tuple),
+    ),
+    st.builds(AddrAnnounce, sender=NODE_IDS, host=SHORT_TEXT, port=U16),
 )
+
+
+def assert_payloads_equal(a, b) -> None:
+    if isinstance(a, Mtmw):
+        # Mtmw compares by identity; compare what the admin signs.
+        assert type(b) is Mtmw
+        assert (a.seqno, a.signature) == (b.seqno, b.signature)
+        ta, tb = a.topology, b.topology
+        assert set(ta.nodes) == set(tb.nodes)
+        assert {edge_key(x, y): ta.weight(x, y) for x, y in ta.edges()} == {
+            edge_key(x, y): tb.weight(x, y) for x, y in tb.edges()
+        }
+    else:
+        assert a == b
 
 
 def assert_packets_equal(a, b) -> None:
@@ -169,7 +222,7 @@ def assert_packets_equal(a, b) -> None:
         assert (a.epoch, a.seq, a.nonce, a.wire_size, a.mac) == (
             b.epoch, b.seq, b.nonce, b.wire_size, b.mac
         )
-        assert a.payload == b.payload
+        assert_payloads_equal(a.payload, b.payload)
     elif isinstance(a, PorAck):
         assert (a.epoch, a.cum_seq, a.proof, a.missing, a.mac) == (
             b.epoch, b.cum_seq, b.proof, b.missing, b.mac
@@ -180,6 +233,8 @@ def assert_packets_equal(a, b) -> None:
         )
     elif isinstance(a, _HelloWrapper):
         assert a.hello == b.hello
+    elif isinstance(a, (AddrQuery, AddrReply, AddrAnnounce)):
+        assert a == b
     else:  # pragma: no cover - strategy and codec out of sync
         raise AssertionError(f"unexpected packet type {type(a).__name__}")
 
@@ -336,3 +391,46 @@ def test_oversized_body_raises_encode_error():
     packet = PorData(epoch=0, seq=0, nonce=b"", payload=message, wire_size=1)
     with pytest.raises(WireEncodeError, match="max"):
         encode_datagram("a", "b", packet)
+
+
+def test_unencodable_text_raises_encode_error():
+    # A lone surrogate has no UTF-8 encoding.
+    with pytest.raises(WireEncodeError):
+        encode_datagram("a", "b", _HelloWrapper(Hello("a\ud800", 1)))
+
+
+def test_non_number_float_field_raises_encode_error():
+    update = LinkStateUpdate("a", "a", "b", "heavy", 1)  # type: ignore[arg-type]
+    packet = PorData(epoch=0, seq=0, nonce=b"", payload=update, wire_size=1)
+    with pytest.raises(WireEncodeError):
+        encode_datagram("a", "b", packet)
+
+
+#: Text that may contain lone surrogates (plain ``st.text`` never does).
+SURROGATE_TEXT = st.text(
+    st.one_of(st.characters(), st.characters(categories=["Cs"])), max_size=20
+)
+
+
+@given(text=SURROGATE_TEXT, kind=st.integers(min_value=0, max_value=3))
+@settings(max_examples=200)
+def test_any_text_round_trips_or_raises_encode_error(text, kind):
+    # The four places a caller-supplied str reaches the wire: a node id,
+    # an application payload, an admission-NACK text and an address host.
+    if kind == 0:
+        packet = _HelloWrapper(Hello(text, 1))
+    elif kind == 1:
+        message = Message(
+            "a", "b", 1, Semantics.PRIORITY, payload=text, paths=None
+        )
+        packet = PorData(epoch=0, seq=0, nonce=b"", payload=message, wire_size=1)
+    elif kind == 2:
+        nack = AdmissionNack("a", "b", text, "k", "expired", 1)
+        packet = PorData(epoch=0, seq=0, nonce=b"", payload=nack, wire_size=1)
+    else:
+        packet = AddrAnnounce("a", text, 9)
+    try:
+        data = encode_datagram("a", "b", packet)
+    except WireEncodeError:
+        return
+    assert_packets_equal(decode_datagram(data).packet, packet)

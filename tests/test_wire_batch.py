@@ -37,7 +37,6 @@ from repro.runtime.wire import (
     HEADER_SIZE,
     MAGIC,
     VERSION,
-    batch_fits,
     decode_datagram,
     encode_batch_datagram,
     encode_datagram,
@@ -70,11 +69,6 @@ def test_single_frame_batch_is_byte_identical_to_classic():
 def test_empty_batch_rejected():
     with pytest.raises(WireEncodeError, match="empty"):
         encode_batch_datagram("a", "b", [])
-
-
-def test_batch_fits_bounds():
-    assert batch_fits([100, 100, 100])
-    assert not batch_fits([2**16] * 20)
 
 
 # ----------------------------------------------------------------------
@@ -188,6 +182,9 @@ class _FakeLoop:
 
     def call_later(self, delay, callback, *args):
         self.pending.append((delay, callback, args))
+
+    def call_soon(self, callback, *args):
+        self.pending.append((0.0, callback, args))
 
     def fire_all(self):
         pending, self.pending = self.pending, []
@@ -317,3 +314,18 @@ def test_channel_batch_counts_one_datagram_for_many_packets():
     assert len(transport._transport.sent) == 1
     data, _ = transport._transport.sent[0]
     assert len(decode_datagram(data).frames()) == 5
+
+
+def test_coalesced_flush_with_unencodable_packet_drops_only_itself():
+    transport = _wired_transport(sock=_FakeSocketNoMmsg())
+    channel = UdpSendChannel(transport, "peer", coalesce=True)
+    good = _HelloWrapper(Hello("n", 1))
+    bad = _HelloWrapper(Hello("n\ud800", 2))  # lone surrogate: no UTF-8 form
+    for packet in (good, bad, good):
+        channel.send(packet, 64)
+    transport._loop.fire_all()  # the call_soon flush
+    assert channel.encode_errors == 1
+    assert transport.encode_errors == 1
+    assert len(transport._transport.sent) == 2
+    for data, _ in transport._transport.sent:
+        assert_packets_equal(decode_datagram(data).packet, good)
