@@ -35,7 +35,6 @@ DRAIN = 8.0
 BASE_RATE = 60.0
 MULTIPLIERS = (1.0, 2.0, 4.0, 7.0, 10.0)
 CHAOS_INTENSITY = 2.0
-LINK_BANDWIDTH_BPS = 3e5
 
 MIN_SUCCESS_ON_AT_1X = 0.99
 MIN_GOODPUT_RATIO_ON = 0.90
@@ -54,7 +53,6 @@ def test_client_slo_sweep(benchmark):
             multipliers=MULTIPLIERS,
             intensity=CHAOS_INTENSITY,
             include_off=True,
-            link_bandwidth_bps=LINK_BANDWIDTH_BPS,
         )
 
     report = run_once(benchmark, run)

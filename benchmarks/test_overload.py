@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import Reporter, run_once
 
-from repro.clients.overload import OVERLOAD_ADMISSION, run_overload
+from repro.clients.overload import run_overload
 
 SEED = 2016
 NODES = 16
@@ -39,7 +39,6 @@ DURATION = 50.0
 DRAIN = 5.0
 BASE_RATE = 170.0
 MULTIPLIERS = (1.0, 2.0, 4.0, 7.0, 10.0)
-LINK_BANDWIDTH_BPS = 3e5
 
 MIN_OFFERED_TOTAL = 1_000_000
 MIN_GOODPUT_RATIO_ON = 0.90
@@ -56,9 +55,7 @@ def test_overload_sweep(benchmark):
             drain=DRAIN,
             base_rate=BASE_RATE,
             multipliers=MULTIPLIERS,
-            admission=OVERLOAD_ADMISSION,
             include_off=True,
-            link_bandwidth_bps=LINK_BANDWIDTH_BPS,
         )
 
     report = run_once(benchmark, run)

@@ -55,11 +55,20 @@ Commands
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional
+import json
+import math
+from typing import List, Optional, Tuple
 
 from repro.overlay.config import DisseminationMethod, OverlayConfig
 from repro.topology import global_cloud
 from repro.topology.analysis import minimum_pair_connectivity, table3
+
+
+def _write_json(path: str, payload: object, label: str) -> None:
+    """Write ``payload`` as sorted, indented JSON and say where."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    print(f"wrote {label} to {path}")
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -213,8 +222,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """``repro stats``: run a seeded workload, dump the telemetry report."""
-    import json
-
     from repro.messaging.message import Semantics
     from repro.telemetry.report import build_report, to_csv
     from repro.workloads.experiment import Deployment
@@ -248,15 +255,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
             live_report = run_live(
                 LiveConfig(duration=args.seconds, seed=args.seed)
             )
-        rendered = json.dumps(
-            live_report.to_dict(), sort_keys=True, indent=2
-        ) + "\n"
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
-            print(f"wrote json report to {args.output}")
+            _write_json(args.output, live_report.to_dict(), "json report")
         else:
-            print(rendered, end="")
+            print(json.dumps(live_report.to_dict(), sort_keys=True, indent=2))
         return 0 if live_report.ok else 1
 
     semantics = Semantics(args.semantics)
@@ -299,8 +301,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_live(args: argparse.Namespace) -> int:
     """``repro live``: run the overlay over real UDP sockets on localhost."""
-    import json
-
     from repro.runtime.live import LiveConfig, run_live
 
     if args.method == "flooding":
@@ -394,10 +394,7 @@ def cmd_live(args: argparse.Namespace) -> int:
         for message in report.runtime_errors:
             print(f"runtime error: {message}")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        print(f"wrote live report to {args.output}")
+        _write_json(args.output, report.to_dict(), "live report")
     # Under chaos the delivery gate applies to flows between non-faulted
     # nodes (a message into a partitioned or crashed endpoint is *meant*
     # to be lost); report.ok additionally fails the run on any runtime
@@ -411,8 +408,6 @@ def cmd_live(args: argparse.Namespace) -> int:
 def cmd_cluster(args: argparse.Namespace) -> int:
     """``repro cluster``: sharded multi-process overlay with signed
     dynamic membership, aggregated by the coordinator control plane."""
-    import json
-
     from repro.cluster.deployment import run_cluster
     from repro.cluster.spec import ClusterConfig
 
@@ -463,10 +458,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     for failure in report.failures:
         print(f"failure: {failure}")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        print(f"wrote cluster report to {args.output}")
+        _write_json(args.output, report.to_dict(), "cluster report")
     # Same gate semantics as ``repro live``: under chaos, only flows
     # between non-excluded endpoints are held to the delivery floor.
     gate_ratio = (report.correct_flow_ratio if args.chaos is not None
@@ -477,8 +469,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_perfbench(args: argparse.Namespace) -> int:
     """``repro perfbench``: hot-path microbenchmarks + regression gate."""
-    import json
-
     from repro.perf import attach_pre_pr, compare_to_baseline, run_suite
 
     mode = "quick" if args.quick else "full"
@@ -495,10 +485,7 @@ def cmd_perfbench(args: argparse.Namespace) -> int:
               f"{extra}")
     print(f"  calibration: {report['calibration_ops_per_sec']:,.0f} loop iters/s")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        print(f"wrote perf report to {args.output}")
+        _write_json(args.output, report, "perf report")
     if args.baseline:
         with open(args.baseline, "r", encoding="utf-8") as handle:
             baseline = json.load(handle)
@@ -516,28 +503,48 @@ def cmd_perfbench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _multipliers(text: str) -> Tuple[float, ...]:
+    """argparse type: comma-separated positive, finite load multipliers."""
+    try:
+        values = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        values = ()
+    if not values or not all(math.isfinite(v) and v > 0 for v in values):
+        raise argparse.ArgumentTypeError(
+            f"want comma-separated positive, finite numbers, got {text!r}"
+        )
+    return values
+
+
+def _run_sweep(args: argparse.Namespace, run, note: str = "", **kwargs):
+    """Print the sweep header, then run it with per-stage progress lines."""
+    multipliers = ",".join(f"{m:g}" for m in args.multipliers)
+    print(f"{args.command}: nodes={args.nodes} duration={args.duration:g}s "
+          f"base-rate={args.base_rate:g}/s multipliers={multipliers}"
+          f"{note} seed={args.seed}")
+    return run(
+        seed=args.seed, nodes=args.nodes, duration=args.duration,
+        drain=args.drain, base_rate=args.base_rate,
+        multipliers=args.multipliers, include_off=not args.skip_off,
+        progress=lambda label: print(f"  running {label} ..."), **kwargs,
+    )
+
+
+def _gate(name: str, failures: List[str], ok_note: str) -> int:
+    """Print a gate verdict; the exit code is 1 on any failure."""
+    for failure in failures:
+        print(f"{name} gate: FAILED — {failure}")
+    if failures:
+        return 1
+    print(f"{name} gate: ok ({ok_note})")
+    return 0
+
+
 def cmd_overload(args: argparse.Namespace) -> int:
     """``repro overload``: offered-load sweep + admission goodput gate."""
-    import json
-
     from repro.clients import run_overload
 
-    multipliers = tuple(float(m) for m in args.multipliers.split(","))
-    print(
-        f"overload: nodes={args.nodes} duration={args.duration:g}s "
-        f"base-rate={args.base_rate:g}/s multipliers={args.multipliers} "
-        f"seed={args.seed}"
-    )
-    report = run_overload(
-        seed=args.seed,
-        nodes=args.nodes,
-        duration=args.duration,
-        drain=args.drain,
-        base_rate=args.base_rate,
-        multipliers=multipliers,
-        include_off=not args.skip_off,
-        progress=lambda label: print(f"  running {label} ..."),
-    )
+    report = _run_sweep(args, run_overload)
     print(f"  {'arm':<4} {'mult':>5} {'offered':>9} {'delivered':>9} "
           f"{'goodput/s':>10} {'p50 ms':>8} {'p99 ms':>9} {'rejected':>9}")
     for stage in report["stages"]:
@@ -549,52 +556,29 @@ def cmd_overload(args: argparse.Namespace) -> int:
               f"{rejected:>9,}")
     summary = report["summary"]
     print(f"  offered total: {summary['offered_total']:,} messages")
-    print(f"  admission-on goodput at max load: "
-          f"{summary['goodput_ratio_on']:.1%} of 1x "
-          f"(p99 {summary['p99_ms_on_at_max']:.1f} ms)")
-    if "goodput_ratio_off" in summary:
-        print(f"  admission-off goodput at max load: "
-              f"{summary['goodput_ratio_off']:.1%} of 1x "
-              f"(p99 {summary['p99_ms_off_at_max']:.1f} ms)")
+    for arm in ("on", "off"):
+        if f"goodput_ratio_{arm}" in summary:
+            print(f"  admission-{arm} goodput at max load: "
+                  f"{summary[f'goodput_ratio_{arm}']:.1%} of 1x "
+                  f"(p99 {summary[f'p99_ms_{arm}_at_max']:.1f} ms)")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        print(f"wrote overload report to {args.output}")
-    if args.min_goodput is not None:
-        if summary["goodput_ratio_on"] < args.min_goodput:
-            print(f"overload gate: FAILED — admission-on sustained only "
-                  f"{summary['goodput_ratio_on']:.1%} of 1x goodput "
-                  f"(need {args.min_goodput:.1%})")
-            return 1
-        print(f"overload gate: ok ({summary['goodput_ratio_on']:.1%} "
-              f">= {args.min_goodput:.1%})")
-    return 0
+        _write_json(args.output, report, "overload report")
+    if args.min_goodput is None:
+        return 0
+    ratio = summary["goodput_ratio_on"]
+    failures = [] if ratio >= args.min_goodput else [
+        f"admission-on sustained only {ratio:.1%} of 1x goodput "
+        f"(need {args.min_goodput:.1%})"
+    ]
+    return _gate("overload", failures, f"{ratio:.1%} >= {args.min_goodput:.1%}")
 
 
 def cmd_slo(args: argparse.Namespace) -> int:
     """``repro slo``: session-tier SLO sweep + client-success gate."""
-    import json
-
     from repro.clients import run_slo
 
-    multipliers = tuple(float(m) for m in args.multipliers.split(","))
-    print(
-        f"slo: nodes={args.nodes} duration={args.duration:g}s "
-        f"base-rate={args.base_rate:g}/s multipliers={args.multipliers} "
-        f"chaos-intensity={args.intensity:g} seed={args.seed}"
-    )
-    report = run_slo(
-        seed=args.seed,
-        nodes=args.nodes,
-        duration=args.duration,
-        drain=args.drain,
-        base_rate=args.base_rate,
-        multipliers=multipliers,
-        intensity=args.intensity,
-        include_off=not args.skip_off,
-        progress=lambda label: print(f"  running {label} ..."),
-    )
+    report = _run_sweep(args, run_slo, f" chaos-intensity={args.intensity:g}",
+                        intensity=args.intensity)
     print(f"  {'arm':<4} {'mult':>5} {'requests':>9} {'acked':>8} "
           f"{'success':>8} {'amp':>7} {'failover':>9} {'shed':>6} "
           f"{'viol':>5}")
@@ -615,33 +599,51 @@ def cmd_slo(args: argparse.Namespace) -> int:
           f"(bound {summary['amplification_bound']:.2f}); "
           f"violations: {summary['violations']}")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        print(f"wrote slo report to {args.output}")
-    if args.min_success is not None:
-        failures = []
-        if summary["success_on_at_1x"] < args.min_success:
-            failures.append(
-                f"sessions-on success at 1x is "
-                f"{summary['success_on_at_1x']:.2%} "
-                f"(need {args.min_success:.2%})"
-            )
-        if summary["max_amplification_on"] > summary["amplification_bound"]:
-            failures.append(
-                f"retry amplification {summary['max_amplification_on']:.4f} "
-                f"exceeds budget bound {summary['amplification_bound']:.2f}"
-            )
-        if summary["violations"]:
-            failures.append(f"{summary['violations']} invariant violations")
-        if failures:
-            for failure in failures:
-                print(f"slo gate: FAILED — {failure}")
-            return 1
-        print(f"slo gate: ok ({summary['success_on_at_1x']:.2%} "
-              f">= {args.min_success:.2%}, amplification bounded, "
-              f"0 violations)")
-    return 0
+        _write_json(args.output, report, "slo report")
+    if args.min_success is None:
+        return 0
+    failures = []
+    if summary["success_on_at_1x"] < args.min_success:
+        failures.append(
+            f"sessions-on success at 1x is "
+            f"{summary['success_on_at_1x']:.2%} "
+            f"(need {args.min_success:.2%})"
+        )
+    if summary["max_amplification_on"] > summary["amplification_bound"]:
+        failures.append(
+            f"retry amplification {summary['max_amplification_on']:.4f} "
+            f"exceeds budget bound {summary['amplification_bound']:.2f}"
+        )
+    if summary["violations"]:
+        failures.append(f"{summary['violations']} invariant violations")
+    return _gate("slo", failures,
+                 f"{summary['success_on_at_1x']:.2%} >= {args.min_success:.2%}, "
+                 f"amplification bounded, 0 violations")
+
+
+def _add_sweep_args(
+    parser: argparse.ArgumentParser, *, nodes: int, duration: float,
+    drain: float, base_rate: float, rate_help: str, multipliers: str,
+    arm: str, artifact: str,
+) -> None:
+    """The flags ``overload`` and ``slo`` share, with per-command defaults."""
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--nodes", type=int, default=nodes)
+    parser.add_argument("--duration", type=float, default=duration,
+                        help="offered-load window per stage, simulated "
+                             "seconds (default %(default)g)")
+    parser.add_argument("--drain", type=float, default=drain,
+                        help="extra drain time after the tier stops "
+                             "(default %(default)g)")
+    parser.add_argument("--base-rate", type=float, default=base_rate,
+                        help=f"{rate_help} (default %(default)g)")
+    parser.add_argument("--multipliers", type=_multipliers, default=multipliers,
+                        help="comma-separated offered-load multipliers, each "
+                             "positive and finite (default %(default)s)")
+    parser.add_argument("--skip-off", action="store_true",
+                        help=f"run only the {arm}-on arm")
+    parser.add_argument("--output", default=None,
+                        help=f"write the {artifact} payload here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -822,24 +824,12 @@ def build_parser() -> argparse.ArgumentParser:
         "overload",
         help="client-tier offered-load sweep with admission on/off + gate",
     )
-    overload.add_argument("--seed", type=int, default=0)
-    overload.add_argument("--nodes", type=int, default=8)
-    overload.add_argument("--duration", type=float, default=20.0,
-                          help="offered-load window per stage, simulated "
-                               "seconds (default 20)")
-    overload.add_argument("--drain", type=float, default=5.0,
-                          help="extra drain time after the tier stops "
-                               "(default 5)")
-    overload.add_argument("--base-rate", type=float, default=15.0,
-                          help="1x burst-arrival rate for the whole tier, "
-                               "bursts/second (default 15)")
-    overload.add_argument("--multipliers", default="1,2,4,7,10",
-                          help="comma-separated offered-load multipliers "
-                               "(default 1,2,4,7,10)")
-    overload.add_argument("--skip-off", action="store_true",
-                          help="run only the admission-on arm")
-    overload.add_argument("--output", default=None,
-                          help="write the BENCH_overload.json payload here")
+    _add_sweep_args(
+        overload, nodes=8, duration=20.0, drain=5.0, base_rate=15.0,
+        rate_help="1x burst-arrival rate for the whole tier, bursts/second",
+        multipliers="1,2,4,7,10", arm="admission",
+        artifact="BENCH_overload.json",
+    )
     overload.add_argument("--min-goodput", type=float, default=None,
                           help="gate: require admission-on goodput at the "
                                "highest multiplier to be at least this "
@@ -850,27 +840,15 @@ def build_parser() -> argparse.ArgumentParser:
         "slo",
         help="client session-tier SLO sweep under soak chaos + gate",
     )
-    slo.add_argument("--seed", type=int, default=0)
-    slo.add_argument("--nodes", type=int, default=16)
-    slo.add_argument("--duration", type=float, default=15.0,
-                     help="offered-load window per stage, simulated "
-                          "seconds (default 15)")
-    slo.add_argument("--drain", type=float, default=6.0,
-                     help="extra drain time after the tier stops "
-                          "(default 6)")
-    slo.add_argument("--base-rate", type=float, default=60.0,
-                     help="1x tier-wide request arrival rate, "
-                          "requests/second (default 60)")
-    slo.add_argument("--multipliers", default="1,10",
-                     help="comma-separated offered-load multipliers "
-                          "(default 1,10)")
+    _add_sweep_args(
+        slo, nodes=16, duration=15.0, drain=6.0, base_rate=60.0,
+        rate_help="1x tier-wide request arrival rate, requests/second",
+        multipliers="1,10", arm="sessions",
+        artifact="BENCH_client_slo.json",
+    )
     slo.add_argument("--intensity", type=float, default=2.0,
                      help="live-soak chaos intensity; 0 disables chaos "
                           "(default 2.0)")
-    slo.add_argument("--skip-off", action="store_true",
-                     help="run only the sessions-on arm")
-    slo.add_argument("--output", default=None,
-                     help="write the BENCH_client_slo.json payload here")
     slo.add_argument("--min-success", type=float, default=None,
                      help="gate: require sessions-on client-visible "
                           "success at 1x to reach this ratio, retry "

@@ -16,6 +16,11 @@ breakers, and a graceful-degradation ladder.  The "SLO under fire"
 sweep (:mod:`repro.clients.slo`) measures client-visible success with
 sessions on and off under soak chaos and overload.
 
+Both sweeps run on one harness (:mod:`repro.clients.sweep`): the same
+chordal-ring stage network, seed-stable destination ranking, admission
+fold and arms x multipliers loop.  Each reports its stages as plain
+JSON-ready dicts.
+
 Generators and sessions are substrate-portable: they use only the
 ``.sim`` / ``.node()`` duck type, so the same seeded workload drives
 the discrete-event simulator and the live asyncio/UDP runtime.
@@ -27,7 +32,7 @@ from repro.clients.generators import (
     ScriptedBurst,
     ScriptedOverload,
 )
-from repro.clients.overload import OverloadStage, run_overload
+from repro.clients.overload import run_overload
 from repro.clients.session import (
     CircuitBreaker,
     RetryBudget,
@@ -37,14 +42,13 @@ from repro.clients.session import (
     SessionTier,
     SessionWorkloadConfig,
 )
-from repro.clients.slo import SESSIONS_OFF, SloStage, run_slo
+from repro.clients.slo import SESSIONS_OFF, run_slo
 
 __all__ = [
     "ClientTier",
     "ClientWorkloadConfig",
     "ScriptedBurst",
     "ScriptedOverload",
-    "OverloadStage",
     "run_overload",
     "CircuitBreaker",
     "RetryBudget",
@@ -54,6 +58,5 @@ __all__ = [
     "SessionTier",
     "SessionWorkloadConfig",
     "SESSIONS_OFF",
-    "SloStage",
     "run_slo",
 ]

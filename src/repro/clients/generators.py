@@ -73,8 +73,8 @@ class ClientWorkloadConfig:
     expire_after: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.arrival_rate <= 0:
-            raise ConfigurationError("arrival_rate must be positive")
+        if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0):
+            raise ConfigurationError("arrival_rate must be positive and finite")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ConfigurationError("diurnal_amplitude must be in [0, 1)")
         if self.diurnal_period <= 0:

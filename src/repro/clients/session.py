@@ -41,6 +41,7 @@ overlay's ``delivery_observers`` / ``nack_observers`` taps.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -150,8 +151,8 @@ class SessionWorkloadConfig:
     session: SessionConfig = field(default_factory=SessionConfig)
 
     def __post_init__(self) -> None:
-        if self.arrival_rate <= 0:
-            raise ConfigurationError("arrival_rate must be positive")
+        if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0):
+            raise ConfigurationError("arrival_rate must be positive and finite")
         if self.sessions_per_node < 1:
             raise ConfigurationError("sessions_per_node must be >= 1")
         if self.zipf_exponent <= 0:

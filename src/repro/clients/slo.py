@@ -23,16 +23,17 @@ What the arms demonstrate:
   no failover: every ingress crash, parked-then-expired offer, or lost
   ack is a silent client-visible failure.
 
-Every stage is deterministic given its seed: each builds its own
-network, chaos schedule, and RNG registry, so arms and multipliers
-cannot perturb one another.
+The stage network, arms x multipliers loop and admission fold come from
+:mod:`repro.clients.sweep`; each stage also builds its own chaos
+schedule, so the sweep is deterministic given its seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import Any, Callable, Dict, Optional, Sequence
 
+from repro.clients import sweep
 from repro.clients.overload import OVERLOAD_ADMISSION
 from repro.clients.session import (
     SessionConfig,
@@ -41,158 +42,63 @@ from repro.clients.session import (
 )
 from repro.faults.chaos import ChaosEngine
 from repro.faults.schedule import ChaosSpec
-from repro.messaging.admission import AdmissionConfig
-from repro.overlay.config import OverlayConfig
-from repro.overlay.network import OverlayNetwork
-from repro.topology import generators
 
 #: The SLO sweep's admission tuning: the overload sweep's, but with the
 #: two-key (per-destination) meter enabled — Zipf-hot destinations are
 #: throttled at the ingress edge, not in the interior queues.
 SLO_ADMISSION = replace(OVERLOAD_ADMISSION, per_destination=True)
 
+#: The session workload; each stage sets the rate and the arm's sessions.
+SLO_WORKLOAD = SessionWorkloadConfig()
+
 #: The naive-client arm: one attempt, no retry budget, no failover.
 SESSIONS_OFF = SessionConfig(max_attempts=1, retry_budget=0.0, backups=0)
 
-
-@dataclass
-class SloStage:
-    """Measured outcome of one (sessions arm, multiplier) stage."""
-
-    multiplier: float
-    sessions: bool
-    duration: float
-    requests: int
-    succeeded: int
-    failed: int
-    shed: int
-    success_ratio: float
-    goodput_rps: float  # acked requests/second over the offered window
-    amplification: float
-    base_offers: int
-    retry_offers: int
-    failovers: int
-    nacks_consumed: int
-    breaker_opens: int
-    downgraded: int
-    duplicates_suppressed: int
-    violations: int
-    chaos: Dict[str, int] = field(default_factory=dict)
-    tier: Dict[str, Any] = field(default_factory=dict)
-    admission_totals: Dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable stage record for reports and artifacts."""
-        return {
-            "multiplier": self.multiplier,
-            "sessions": self.sessions,
-            "duration_s": self.duration,
-            "requests": self.requests,
-            "succeeded": self.succeeded,
-            "failed": self.failed,
-            "shed": self.shed,
-            "success_ratio": round(self.success_ratio, 4),
-            "goodput_rps": round(self.goodput_rps, 2),
-            "amplification": round(self.amplification, 4),
-            "base_offers": self.base_offers,
-            "retry_offers": self.retry_offers,
-            "failovers": self.failovers,
-            "nacks_consumed": self.nacks_consumed,
-            "breaker_opens": self.breaker_opens,
-            "downgraded": self.downgraded,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "violations": self.violations,
-            "chaos": dict(self.chaos),
-            "tier": dict(self.tier),
-            "admission_totals": dict(self.admission_totals),
-        }
-
-
-_ADMISSION_KEYS = (
-    "offered", "admitted", "parked", "rejected",
-    "evicted", "released", "expired", "cleared",
+#: Session-tier counters copied verbatim into each stage record.
+_COUNTS = (
+    "requests", "succeeded", "failed", "shed", "base_offers", "retry_offers",
+    "failovers", "nacks_consumed", "breaker_opens", "downgraded",
+    "duplicates_suppressed",
 )
 
 
-def _run_stage(
-    *,
-    seed: int,
-    nodes: int,
-    duration: float,
-    drain: float,
-    multiplier: float,
-    base_rate: float,
-    workload: SessionWorkloadConfig,
-    session: SessionConfig,
-    sessions_on: bool,
-    admission: Optional[AdmissionConfig],
-    intensity: float,
-    link_bandwidth_bps: float,
-) -> SloStage:
-    config = OverlayConfig(
-        admission=admission, link_bandwidth_bps=link_bandwidth_bps
-    )
-    topology = generators.chordal_ring(nodes, chords=2, weight=0.001)
-    net = OverlayNetwork.build(topology, config, seed=seed)
-
-    engine = None
+def _stage(
+    seed: int, nodes: int, duration: float, drain: float, base_rate: float,
+    intensity: float, on: bool, multiplier: float,
+) -> sweep.Stage:
+    net, ranked = sweep.build_network(nodes, seed, SLO_ADMISSION, "slo:dest-rank")
+    chaos: Dict[str, int] = {}
     if intensity > 0:
         schedule = ChaosSpec.live_soak(duration, intensity=intensity).generate(
-            topology, seed=seed
+            net.topology, seed=seed
         )
         engine = ChaosEngine(net, schedule)
         engine.arm()
+        chaos = engine.counts
 
-    ranked = sorted(net.nodes)
-    net.sim.rngs.stream("slo:dest-rank").shuffle(ranked)
-    stage_workload = SessionWorkloadConfig(
-        arrival_rate=base_rate * multiplier,
-        sessions_per_node=workload.sessions_per_node,
-        zipf_exponent=workload.zipf_exponent,
-        size_bytes=workload.size_bytes,
-        method_k=workload.method_k,
-        session=session,
+    workload = replace(
+        SLO_WORKLOAD, arrival_rate=base_rate * multiplier,
+        session=SLO_WORKLOAD.session if on else SESSIONS_OFF,
     )
     tier = SessionTier(
-        net, sorted(net.nodes), ranked, workload=stage_workload,
-        name="on" if sessions_on else "off",
+        net, sorted(net.nodes), ranked, workload=workload,
+        name="on" if on else "off",
     )
-    tier.start()
-    net.run(duration)
-    tier.stop()
-    net.run(drain)
+    sweep.run_window(net, tier, duration, drain)
     tier.finalize()
 
-    totals = {key: 0 for key in _ADMISSION_KEYS}
-    if admission is not None:
-        for node in net.nodes.values():
-            snap = node.admission.snapshot()
-            for key in _ADMISSION_KEYS:
-                totals[key] += snap[key]
     snapshot = tier.snapshot()
-    return SloStage(
-        multiplier=multiplier,
-        sessions=sessions_on,
-        duration=duration,
-        requests=snapshot["requests"],
-        succeeded=snapshot["succeeded"],
-        failed=snapshot["failed"],
-        shed=snapshot["shed"],
-        success_ratio=snapshot["success_ratio"],
-        goodput_rps=snapshot["succeeded"] / duration if duration > 0 else 0.0,
-        amplification=snapshot["amplification"],
-        base_offers=snapshot["base_offers"],
-        retry_offers=snapshot["retry_offers"],
-        failovers=snapshot["failovers"],
-        nacks_consumed=snapshot["nacks_consumed"],
-        breaker_opens=snapshot["breaker_opens"],
-        downgraded=snapshot["downgraded"],
-        duplicates_suppressed=snapshot["duplicates_suppressed"],
-        violations=snapshot["invariant_violations"],
-        chaos=dict(engine.counts) if engine is not None else {},
-        tier=snapshot,
-        admission_totals=totals,
-    )
+    return {
+        "duration_s": duration,
+        **{key: snapshot[key] for key in _COUNTS},
+        "success_ratio": round(snapshot["success_ratio"], 4),
+        "goodput_rps": round(sweep.ratio(snapshot["succeeded"], duration), 2),
+        "amplification": round(snapshot["amplification"], 4),
+        "violations": snapshot["invariant_violations"],
+        "chaos": dict(chaos),
+        "tier": snapshot,
+        "admission_totals": sweep.admission_totals(net),
+    }
 
 
 def run_slo(
@@ -204,12 +110,8 @@ def run_slo(
     base_rate: float = 60.0,
     multipliers: Sequence[float] = (1.0, 4.0, 10.0),
     intensity: float = 2.0,
-    workload: Optional[SessionWorkloadConfig] = None,
-    session: Optional[SessionConfig] = None,
-    admission: Optional[AdmissionConfig] = None,
     include_off: bool = True,
-    link_bandwidth_bps: float = 3e5,
-    progress: Optional[Any] = None,
+    progress: Optional[Callable[[str], Any]] = None,
 ) -> Dict[str, Any]:
     """Sweep (sessions on/off) x multipliers under soak chaos.
 
@@ -220,101 +122,61 @@ def run_slo(
     within ``1 + retry_budget``), delivered-goodput ratio at the top
     multiplier, and total invariant violations.
     """
-    workload = workload or SessionWorkloadConfig()
-    session = session or workload.session
-    admission = admission if admission is not None else SLO_ADMISSION
-    arms: List[bool] = [True]
-    if include_off:
-        arms.append(False)
-
-    stages: List[SloStage] = []
-    for sessions_on in arms:
-        for multiplier in multipliers:
-            if progress is not None:
-                progress(
-                    f"sessions={'on' if sessions_on else 'off'} "
-                    f"x{multiplier:g}"
-                )
-            stages.append(
-                _run_stage(
-                    seed=seed,
-                    nodes=nodes,
-                    duration=duration,
-                    drain=drain,
-                    multiplier=multiplier,
-                    base_rate=base_rate,
-                    workload=workload,
-                    session=session if sessions_on else SESSIONS_OFF,
-                    sessions_on=sessions_on,
-                    admission=admission,
-                    intensity=intensity,
-                    link_bandwidth_bps=link_bandwidth_bps,
-                )
-            )
-
+    stages = sweep.run_stages(
+        lambda on, multiplier: _stage(
+            seed, nodes, duration, drain, base_rate, intensity, on, multiplier
+        ),
+        arm="sessions", multipliers=multipliers, include_off=include_off,
+        progress=progress,
+    )
     low, high = min(multipliers), max(multipliers)
-
-    def stage_for(on: bool, mult: float) -> Optional[SloStage]:
-        for stage in stages:
-            if stage.sessions is on and stage.multiplier == mult:
-                return stage
-        return None
-
-    on_base = stage_for(True, low)
-    on_peak = stage_for(True, high)
-    on_stages = [s for s in stages if s.sessions]
-    budget = session.retry_budget
+    on_base = sweep.stage_at(stages, "sessions", True, low)
+    on_peak = sweep.stage_at(stages, "sessions", True, high)
+    on_stages = [stage for stage in stages if stage["sessions"]]
+    session = SLO_WORKLOAD.session
+    goodput_ratio = 0.0
+    if on_base and on_peak:
+        # Goodput from the unrounded counts, not the rounded report fields.
+        goodput_ratio = sweep.ratio(
+            sweep.ratio(on_peak["succeeded"], duration),
+            sweep.ratio(on_base["succeeded"], duration),
+        )
     summary: Dict[str, Any] = {
-        "requests_total": sum(stage.requests for stage in stages),
+        "requests_total": sum(stage["requests"] for stage in stages),
         "max_multiplier": high,
-        "retry_budget": budget,
-        "success_on_at_1x": round(
-            on_base.success_ratio if on_base else 0.0, 4
+        "retry_budget": session.retry_budget,
+        "success_on_at_1x": on_base["success_ratio"] if on_base else 0.0,
+        "max_amplification_on": max(
+            (stage["amplification"] for stage in on_stages), default=1.0
         ),
-        "max_amplification_on": round(
-            max((s.amplification for s in on_stages), default=1.0), 4
-        ),
-        "amplification_bound": round(1.0 + budget, 4),
-        "goodput_ratio_on": round(
-            on_peak.goodput_rps / on_base.goodput_rps
-            if on_base and on_peak and on_base.goodput_rps > 0
-            else 0.0,
-            4,
-        ),
-        "violations": sum(stage.violations for stage in stages),
-        "failovers_on": sum(s.failovers for s in on_stages),
-        "retries_on": sum(s.retry_offers for s in on_stages),
+        "amplification_bound": round(1.0 + session.retry_budget, 4),
+        "goodput_ratio_on": round(goodput_ratio, 4),
+        "violations": sum(stage["violations"] for stage in stages),
+        "failovers_on": sum(stage["failovers"] for stage in on_stages),
+        "retries_on": sum(stage["retry_offers"] for stage in on_stages),
     }
     if include_off:
-        off_base = stage_for(False, low)
-        summary["success_off_at_1x"] = round(
-            off_base.success_ratio if off_base else 0.0, 4
+        off_base = sweep.stage_at(stages, "sessions", False, low)
+        summary["success_off_at_1x"] = (
+            off_base["success_ratio"] if off_base else 0.0
         )
 
     return {
         "params": {
-            "seed": seed,
-            "nodes": nodes,
-            "duration_s": duration,
-            "drain_s": drain,
-            "base_rate": base_rate,
-            "multipliers": list(multipliers),
+            **sweep.params(seed, nodes, duration, drain, base_rate, multipliers),
             "chaos_intensity": intensity,
-            "sessions_per_node": workload.sessions_per_node,
-            "size_bytes": workload.size_bytes,
-            "method_k": workload.method_k,
+            "sessions_per_node": SLO_WORKLOAD.sessions_per_node,
+            "size_bytes": SLO_WORKLOAD.size_bytes,
+            "method_k": SLO_WORKLOAD.method_k,
             "deadline_s": session.deadline,
             "attempt_timeout_s": session.attempt_timeout,
             "max_attempts": session.max_attempts,
             "retry_budget": session.retry_budget,
-            "per_destination_admission": (
-                admission.per_destination if admission else False
-            ),
-            "link_bandwidth_bps": link_bandwidth_bps,
+            "per_destination_admission": SLO_ADMISSION.per_destination,
         },
-        "stages": [stage.to_dict() for stage in stages],
+        "stages": stages,
         "summary": summary,
     }
 
 
-__all__ = ["SESSIONS_OFF", "SLO_ADMISSION", "SloStage", "run_slo"]
+__all__ = ["SESSIONS_OFF", "SLO_ADMISSION", "SLO_WORKLOAD", "run_slo"]

@@ -13,7 +13,8 @@ laboratory stand-in.  It provides:
 * :mod:`repro.sim.stats` — counters, goodput meters, latency recorders, and
   time series used by the benchmark harness;
 * :mod:`repro.sim.trace` — an attachable protocol event tracer for
-  debugging experiments.
+  debugging experiments, recording into the network's
+  :class:`~repro.telemetry.tracing.TraceCollector`.
 """
 
 from repro.sim.channel import Channel, ChannelConfig
@@ -26,7 +27,7 @@ from repro.sim.stats import (
     StatsRegistry,
     TimeSeries,
 )
-from repro.sim.trace import TraceEvent, Tracer
+from repro.sim.trace import attach_tracer
 
 __all__ = [
     "Simulator",
@@ -40,6 +41,5 @@ __all__ = [
     "LatencyRecorder",
     "StatsRegistry",
     "TimeSeries",
-    "Tracer",
-    "TraceEvent",
+    "attach_tracer",
 ]

@@ -1,164 +1,82 @@
-"""Protocol event tracing.
+"""Protocol event tracing into the network's telemetry collector.
 
-A :class:`Tracer` attaches to a built :class:`~repro.overlay.network.OverlayNetwork`
-and records a structured, queryable timeline of protocol events —
-injections, deliveries, routing-update outcomes, crashes/recoveries —
-without touching the protocol code (it chains the public hooks).  Useful
-when debugging why a flow stalled or what an attack actually did.
+:func:`attach_tracer` chains the public hooks of every node of a built
+:class:`~repro.overlay.network.OverlayNetwork` (injections, deliveries,
+routing-update outcomes, crashes and recoveries) without touching the
+protocol code.  Each hook records one sim-time event named
+``node.<category>`` whose detail starts with the node id, in the same
+:class:`~repro.telemetry.tracing.TraceCollector` that already holds the
+chaos and defense events, so one timeline interleaves them all.  The
+collector bounds, filters and counts the events.  Useful when debugging
+why a flow stalled or what an attack actually did.
 
 Example::
 
-    tracer = Tracer.attach(net)
+    trace = attach_tracer(net)
     ... run experiment ...
-    for event in tracer.query(category="deliver", node=9):
-        print(event)
-    print(tracer.summary())
+    for time, name, detail in trace.query_events("node.deliver"):
+        print(time, name, detail)
+    print(trace.event_summary())
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable
 
-from repro.messaging.message import Message
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded protocol event."""
-
-    time: float
-    node: Any
-    category: str   # "inject" | "deliver" | "routing" | "crash" | "recover"
-    detail: str
-
-    def __str__(self) -> str:
-        return f"[{self.time:10.4f}] {self.node!s:>4} {self.category:<8} {self.detail}"
+from repro.telemetry.tracing import TraceCollector
 
 
-class Tracer:
-    """Chained-hook event recorder for a whole overlay network."""
+def attach_tracer(network: Any) -> TraceCollector:
+    """Enable ``network``'s collector and trace every node into it."""
+    trace = network.stats.metrics.trace
+    trace.enable()
+    for node_id, node in network.nodes.items():
 
-    def __init__(self, max_events: int = 100_000):
-        self.max_events = max_events
-        self.events: List[TraceEvent] = []
-        self.dropped = 0
+        def record(category: str, detail: str, node_id: Any = node_id) -> None:
+            trace.event(network.sim.now, f"node.{category}", f"{node_id} {detail}")
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def attach(cls, network, max_events: int = 100_000) -> "Tracer":
-        """Attach to every node of ``network`` (idempotent per network)."""
-        tracer = cls(max_events=max_events)
-        sim = network.sim
-        for node_id, node in network.nodes.items():
-            tracer._chain_deliver(sim, node_id, node)
-            tracer._wrap_sends(sim, node_id, node)
-            tracer._wrap_crash(sim, node_id, node)
-            tracer._wrap_routing(sim, node_id, node)
-        return tracer
+        _hook(node, record)
+    return trace
 
-    def record(self, time: float, node: Any, category: str, detail: str) -> None:
-        """Append one event (dropped silently past ``max_events``)."""
-        if len(self.events) >= self.max_events:
-            self.dropped += 1
-            return
-        self.events.append(TraceEvent(time, node, category, detail))
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def query(
-        self,
-        category: Optional[str] = None,
-        node: Any = None,
-        since: float = 0.0,
-    ) -> List[TraceEvent]:
-        """Events filtered by category, node, and minimum time."""
-        return [
-            e for e in self.events
-            if (category is None or e.category == category)
-            and (node is None or e.node == node)
-            and e.time >= since
-        ]
+def _hook(node: Any, record: Callable[[str, str], None]) -> None:
+    on_deliver, apply_update = node.on_deliver, node.routing.apply_update
+    send_priority, send_reliable = node.send_priority, node.send_reliable
+    crash, recover = node.crash, node.recover
 
-    def summary(self) -> Dict[str, int]:
-        """Event counts per category."""
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.category] = counts.get(event.category, 0) + 1
-        return counts
+    def traced_deliver(message: Any) -> None:
+        record("deliver", f"{message.semantics.value} {message.source}->"
+                          f"{message.dest} #{message.seq} ({message.size_bytes} B)")
+        if on_deliver is not None:
+            on_deliver(message)
 
-    def dump(self, limit: int = 50) -> str:
-        """Human-readable listing of the first ``limit`` events."""
-        lines = [str(e) for e in self.events[:limit]]
-        if len(self.events) > limit:
-            lines.append(f"... {len(self.events) - limit} more")
-        return "\n".join(lines)
+    def traced_priority(*args: Any, **kwargs: Any) -> Any:
+        message = send_priority(*args, **kwargs)
+        record("inject", f"priority ->{message.dest} #{message.seq} "
+                         f"prio={message.priority}")
+        return message
 
-    # ------------------------------------------------------------------
-    # Hook wiring
-    # ------------------------------------------------------------------
-    def _chain_deliver(self, sim, node_id, node) -> None:
-        previous = node.on_deliver
+    def traced_reliable(dest: Any, *args: Any, **kwargs: Any) -> bool:
+        accepted = send_reliable(dest, *args, **kwargs)
+        if accepted:
+            record("inject", f"reliable ->{dest}")
+        return accepted
 
-        def hooked(message: Message) -> None:
-            self.record(
-                sim.now, node_id, "deliver",
-                f"{message.semantics.value} {message.source}->{message.dest} "
-                f"#{message.seq} ({message.size_bytes} B)",
-            )
-            if previous is not None:
-                previous(message)
+    def traced_crash() -> None:
+        record("crash", "node crashed")
+        crash()
 
-        node.on_deliver = hooked
+    def traced_recover() -> None:
+        record("recover", "node recovered")
+        recover()
 
-    def _wrap_sends(self, sim, node_id, node) -> None:
-        original_priority = node.send_priority
-        original_reliable = node.send_reliable
+    def traced_update(update: Any, now: float = 0.0) -> Any:
+        result = apply_update(update, now=now)
+        record("routing", f"{result.value}: {update.issuer} says "
+                          f"({update.edge_a},{update.edge_b})={update.weight:.4f}")
+        return result
 
-        def send_priority(*args, **kwargs):
-            message = original_priority(*args, **kwargs)
-            self.record(
-                sim.now, node_id, "inject",
-                f"priority ->{message.dest} #{message.seq} prio={message.priority}",
-            )
-            return message
-
-        def send_reliable(dest, *args, **kwargs):
-            accepted = original_reliable(dest, *args, **kwargs)
-            if accepted:
-                self.record(sim.now, node_id, "inject", f"reliable ->{dest}")
-            return accepted
-
-        node.send_priority = send_priority
-        node.send_reliable = send_reliable
-
-    def _wrap_crash(self, sim, node_id, node) -> None:
-        original_crash = node.crash
-        original_recover = node.recover
-
-        def crash():
-            self.record(sim.now, node_id, "crash", "node crashed")
-            original_crash()
-
-        def recover():
-            self.record(sim.now, node_id, "recover", "node recovered")
-            original_recover()
-
-        node.crash = crash
-        node.recover = recover
-
-    def _wrap_routing(self, sim, node_id, node) -> None:
-        routing = node.routing
-        original = routing.apply_update
-
-        def apply_update(update, now=0.0):
-            result = original(update, now=now)
-            self.record(
-                sim.now, node_id, "routing",
-                f"{result.value}: {update.issuer} says "
-                f"({update.edge_a},{update.edge_b})={update.weight:.4f}",
-            )
-            return result
-
-        routing.apply_update = apply_update
+    node.on_deliver = traced_deliver
+    node.send_priority, node.send_reliable = traced_priority, traced_reliable
+    node.crash, node.recover = traced_crash, traced_recover
+    node.routing.apply_update = traced_update

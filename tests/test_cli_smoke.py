@@ -88,6 +88,21 @@ def test_parser_covers_every_command():
     assert sorted(sub.choices) == sorted({case.values[0][0] for case in SMOKE_CASES})
 
 
+@pytest.mark.parametrize("command", ["overload", "slo"])
+@pytest.mark.parametrize("multipliers", ["1,,2", "0", "-1", "nan"])
+def test_bad_multipliers_are_usage_errors(command, multipliers, capsys):
+    # A malformed, non-positive or NaN multiplier list is rejected by
+    # argparse (exit 2) before any sweep runs, never a traceback or an
+    # empty sweep reported as a result.
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--nodes", "6", "--duration", "1",
+                  f"--multipliers={multipliers}"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--multipliers" in captured.err
+    assert "running" not in captured.out
+
+
 def test_stats_json_is_valid(tmp_path):
     out_path = tmp_path / "report.json"
     exit_code = cli.main(

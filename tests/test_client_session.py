@@ -106,6 +106,12 @@ def test_session_config_validation(kwargs):
         SessionConfig(**kwargs)
 
 
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_session_workload_rejects_bad_arrival_rate(rate):
+    with pytest.raises(ConfigurationError):
+        SessionWorkloadConfig(arrival_rate=rate)
+
+
 # ----------------------------------------------------------------------
 # Integrated: clean network
 # ----------------------------------------------------------------------

@@ -224,6 +224,12 @@ def test_reject_state_rejects_out_of_allowance_offers():
     assert controller.parked_live == 0
 
 
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_client_workload_rejects_bad_arrival_rate(rate):
+    with pytest.raises(ConfigurationError):
+        ClientWorkloadConfig(arrival_rate=rate)
+
+
 def test_invalid_watermark_configs_raise():
     with pytest.raises(ConfigurationError):
         AdmissionConfig(park_low=0.5, park_high=0.4)
